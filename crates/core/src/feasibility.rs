@@ -7,8 +7,8 @@
 //! moment the running total exceeds what the healthy GPUs can deliver by
 //! that deadline. Single-cluster admission control uses the scan to pick
 //! shedding victims ([`crate::server`]); the fleet router uses the pure
-//! boolean form ([`edf_feasible`]) to ask "could this cluster still take
-//! one more request" before committing an arrival to it.
+//! boolean form ([`edf_feasible_with_arrival`]) to ask "could this cluster
+//! still take one more request" before committing an arrival to it.
 
 use tetriserve_costmodel::{CostTable, Resolution, StageProfile};
 use tetriserve_simulator::time::SimTime;
@@ -215,7 +215,8 @@ pub fn entries_bit_identical(a: &[DemandEntry], b: &[DemandEntry]) -> bool {
 }
 
 /// Reusable demand-entry scratch for the serving loop's per-pass EDF
-/// scans (`rescue_pass` and friends in [`crate::server`]), with the same
+/// scans (`rescue_pass` and friends in [`crate::server`]) and the fleet
+/// router's per-arrival probe (`ClusterSim::route_view`), with the same
 /// counter discipline as the packer's `PackScratch`: after
 /// [`warm_up`](FeasScratch::warm_up) (or one cold pass at the
 /// high-water backlog), every refill reuses the buffer — zero heap
@@ -253,35 +254,33 @@ impl FeasScratch {
         costs: &CostTable,
     ) -> &[DemandEntry] {
         self.calls += 1;
-        let cap = self.entries.capacity();
-        if cap >= tracker.live_len() {
+        if self.entries.capacity() >= tracker.live_len() {
             self.allocations_avoided += 1;
         }
-        fill_live_entries(tracker, now, costs, &mut self.entries);
-        if self.entries.capacity() > cap {
-            self.grow_events += 1;
-        }
-        &self.entries
+        self.refill(tracker, now, costs)
     }
 
-    /// Refills like [`fill`](FeasScratch::fill), then appends `extra` and
-    /// re-sorts into scan order — the admission probe's "backlog plus one
-    /// hypothetical request" form.
-    pub fn fill_with(
+    /// Refills like [`fill`](FeasScratch::fill) without counting a scan:
+    /// `calls` and `allocations_avoided` stay put, a buffer growth still
+    /// counts in `grow_events`. For read-only route-time probes, which run
+    /// once per fleet arrival rather than once per serving-loop pass.
+    pub fn probe(
         &mut self,
         tracker: &RequestTracker,
         now: SimTime,
         costs: &CostTable,
-        extra: DemandEntry,
     ) -> &[DemandEntry] {
-        self.calls += 1;
+        self.refill(tracker, now, costs)
+    }
+
+    fn refill(
+        &mut self,
+        tracker: &RequestTracker,
+        now: SimTime,
+        costs: &CostTable,
+    ) -> &[DemandEntry] {
         let cap = self.entries.capacity();
-        if cap > tracker.live_len() {
-            self.allocations_avoided += 1;
-        }
         fill_live_entries(tracker, now, costs, &mut self.entries);
-        self.entries.push(extra);
-        sort_entries(&mut self.entries);
         if self.entries.capacity() > cap {
             self.grow_events += 1;
         }
@@ -332,6 +331,39 @@ pub fn edf_feasible_capacity(entries: &[DemandEntry], now: SimTime, capacity: f6
 /// [`edf_feasible_capacity`]).
 pub fn edf_feasible_with_extra_capacity(
     entries: &[DemandEntry],
+    now: SimTime,
+    capacity: f64,
+    extra: f64,
+) -> bool {
+    fits(entries, now, capacity, extra)
+}
+
+/// [`edf_feasible_capacity`] over `entries` plus one `arriving` entry,
+/// without building the combined list: `arriving` is scanned at its
+/// `(deadline, id)` position, after any entry with an equal key — exactly
+/// where pushing it onto `entries` and calling [`sort_entries`] (a stable
+/// sort) would leave it. The demand sum therefore runs in the same order
+/// and the verdict is bit-identical to push + sort + scan. `entries` must
+/// already be in EDF scan order.
+pub fn edf_feasible_with_arrival(
+    entries: &[DemandEntry],
+    arriving: &DemandEntry,
+    now: SimTime,
+    capacity: f64,
+) -> bool {
+    let key = (arriving.deadline, arriving.id);
+    let (before, after) = entries.split_at(entries.partition_point(|e| (e.deadline, e.id) <= key));
+    fits(
+        before.iter().chain(std::iter::once(arriving)).chain(after),
+        now,
+        capacity,
+        0.0,
+    )
+}
+
+/// The cumulative-demand scan itself, over entries in EDF scan order.
+fn fits<'a>(
+    entries: impl IntoIterator<Item = &'a DemandEntry>,
     now: SimTime,
     capacity: f64,
     extra: f64,
@@ -537,6 +569,41 @@ mod tests {
         // A huge in-flight migration load makes the same backlog
         // infeasible.
         assert!(!edf_feasible_with_extra(&entries, SimTime::ZERO, 8, 1e9));
+    }
+
+    #[test]
+    fn arrival_merge_matches_push_and_stable_sort() {
+        // Three entries with one deadline, where the summation order
+        // decides the verdict: 1e16 + 1 rounds back to 1e16, so the big
+        // demand absorbs ones added after it but not ones added before.
+        let entry = |id: u64, demand: f64| DemandEntry {
+            id: RequestId(id),
+            deadline: SimTime::from_secs_f64(1.0),
+            demand,
+            slack: 0.0,
+            fresh: true,
+        };
+        let live = [entry(2, 1.0), entry(4, 1.0)];
+        let oracle = |arriving: DemandEntry, capacity: f64| {
+            let mut all = live.to_vec();
+            all.push(arriving);
+            sort_entries(&mut all);
+            edf_feasible_capacity(&all, SimTime::ZERO, capacity)
+        };
+        let capacity = 1e16 / ADMISSION_UTILIZATION;
+        // Ahead of both ties the ones are absorbed; behind them they add up.
+        assert!(oracle(entry(1, 1e16), capacity));
+        assert!(!oracle(entry(5, 1e16), capacity));
+        for id in 0..=6 {
+            for capacity in [capacity, 0.0, 1e17] {
+                let arriving = entry(id, 1e16);
+                assert_eq!(
+                    edf_feasible_with_arrival(&live, &arriving, SimTime::ZERO, capacity),
+                    oracle(arriving, capacity),
+                    "arriving id {id}, capacity {capacity}"
+                );
+            }
+        }
     }
 
     #[test]

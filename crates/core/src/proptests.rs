@@ -11,18 +11,20 @@
 use proptest::prelude::*;
 
 use tetriserve_costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolution, StageProfile};
-use tetriserve_simulator::gpuset::GpuSet;
+use tetriserve_simulator::failure::{GpuFault, PerfFault};
+use tetriserve_simulator::gpuset::{GpuId, GpuSet};
 use tetriserve_simulator::time::{SimDuration, SimTime};
 use tetriserve_simulator::topology::Topology;
 use tetriserve_simulator::trace::{RequestId, TenantId};
 
 use crate::allocation::{min_gpu_hour_plan, useful_degrees};
+use crate::config::AdmissionPolicy;
 use crate::feasibility;
 use crate::options::build_options;
 use crate::placement::{place, PlacementRequest};
 use crate::request::RequestSpec;
 use crate::scheduler::TetriServePolicy;
-use crate::server::{Server, ServerConfig};
+use crate::server::{ClusterLoad, ClusterSim, Server, ServerConfig};
 use crate::stage::{backpropagate_deadlines, PoolLayout};
 use crate::tracker::{Phase, RequestTracker};
 use tetriserve_costmodel::stage::StageKind;
@@ -112,7 +114,7 @@ proptest! {
         let pick = |v: &[RequestId], r: u32| v[r as usize % v.len()];
 
         for (op, r) in ops {
-            now = now + SimDuration::from_millis(u64::from(r % 200));
+            now += SimDuration::from_millis(u64::from(r % 200));
             let queued = ids_in(&tracker, |p| *p == Phase::Queued);
             let running = ids_in(&tracker, |p| *p == Phase::Running);
             match op {
@@ -417,6 +419,197 @@ proptest! {
                 let latency = done.saturating_since(o.arrival);
                 prop_assert_eq!(e + dn + dc, latency, "breakdown must conserve latency: {:?}", o);
             }
+        }
+    }
+}
+
+/// Every [`ClusterLoad`] field, floats as bit patterns, for exact
+/// comparison.
+fn load_bits(l: &ClusterLoad) -> [u64; 11] {
+    [
+        l.at.as_micros(),
+        l.n_gpus as u64,
+        l.healthy_gpus as u64,
+        l.effective_gpus.to_bits(),
+        l.free_gpus as u64,
+        l.queued as u64,
+        l.running as u64,
+        l.backlog_steps,
+        l.backlog_gpu_seconds.to_bits(),
+        l.encode_backlog as u64,
+        l.decode_backlog as u64,
+    ]
+}
+
+proptest! {
+    /// `ClusterSim::route_view` — one scratch refill, the arriving request
+    /// merged into the scan — agrees bit for bit with the slow oracle: the
+    /// full-tracker recompute plus push, sort and scan for the verdict,
+    /// and a full recompute of every load field. The backlogs come from a
+    /// real serving run (queued, running, encode-gated, decoding, shed
+    /// and done requests), optionally under a hard fault and an active
+    /// slowdown; probes cover instants before the cursor and arriving
+    /// deadlines that tie a live one, where the id decides.
+    #[test]
+    fn prop_route_view_matches_full_recompute(
+        arrivals in proptest::collection::vec(
+            (0u64..8, 0usize..4, 500u64..12_000, 1u32..40, any::<bool>()),
+            1..32,
+        ),
+        steps in 0usize..150,
+        probes in proptest::collection::vec((any::<u32>(), 0u8..3, any::<u32>()), 1..8),
+        slowdown in any::<bool>(),
+        hard_fault in any::<bool>(),
+        shed in any::<bool>(),
+    ) {
+        let c = costs();
+        let mut cfg = ServerConfig::default();
+        if shed {
+            cfg.admission = AdmissionPolicy::ShedInfeasible;
+        }
+        if slowdown {
+            cfg.engine.failures = cfg
+                .engine
+                .failures
+                .clone()
+                .with_perf_fault(PerfFault::brownout(GpuId(1), 1.7, SimTime::ZERO));
+        }
+        if hard_fault {
+            cfg.engine.failures = cfg.engine.failures.clone().with_fault(GpuFault::transient(
+                GpuId(6),
+                SimTime::from_millis(400),
+                SimTime::from_millis(2_500),
+            ));
+        }
+        let failures = cfg.engine.failures.clone();
+        let mut sim = ClusterSim::new(c.clone(), TetriServePolicy::with_defaults(&c), cfg);
+        sim.start();
+        let mut specs: Vec<RequestSpec> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &(burst, res, slo_ms, steps, video))| {
+                // Bursts of simultaneous arrivals queue up behind the
+                // encode unit and the GPUs.
+                let arrival = SimTime::from_millis(400 * burst);
+                RequestSpec {
+                    tenant: TenantId::UNTAGGED,
+                    // Even ids leave odd ones free for tie-breaking probes.
+                    id: RequestId(2 * i as u64),
+                    resolution: Resolution::PRODUCTION[res],
+                    arrival,
+                    deadline: arrival + SimDuration::from_millis(slo_ms),
+                    total_steps: steps,
+                    stages: if video { StageProfile::video(2) } else { StageProfile::FLAT },
+                }
+            })
+            .collect();
+        specs.sort_by_key(|s| (s.arrival, s.id));
+        for s in specs {
+            sim.push_arrival(s);
+        }
+        for _ in 0..steps {
+            if !sim.step() {
+                break;
+            }
+        }
+
+        for (k, (r, mode, w)) in probes.into_iter().enumerate() {
+            let offset = SimDuration::from_millis(u64::from(r % 3_000));
+            // Mode 0 probes before the cursor; the others after it.
+            let at = if mode == 0 {
+                SimTime::from_micros(sim.now().as_micros().saturating_sub(offset.as_micros()))
+            } else {
+                sim.now() + offset
+            };
+            let clamped = at.max(sim.now());
+            let live: Vec<(SimTime, RequestId)> = sim
+                .tracker()
+                .live()
+                .map(|t| (t.spec.deadline, t.spec.id))
+                .collect();
+            // Mode 2 ties a live deadline, with an id just above or just
+            // below the live request's (equal to it for id 0).
+            let (deadline, id) = match live.get(w as usize % live.len().max(1)) {
+                Some(&(d, live_id)) if mode == 2 => {
+                    let id = if w % 2 == 0 {
+                        live_id.0 + 1
+                    } else {
+                        live_id.0.saturating_sub(1)
+                    };
+                    (d, RequestId(id))
+                }
+                _ => (
+                    clamped + SimDuration::from_millis(200 + u64::from(w % 9_000)),
+                    RequestId(1_001 + 2 * k as u64),
+                ),
+            };
+            let spec = RequestSpec {
+                tenant: TenantId::UNTAGGED,
+                id,
+                resolution: Resolution::PRODUCTION[(w % 4) as usize],
+                arrival: clamped,
+                deadline,
+                total_steps: 1 + w % 50,
+                stages: if w % 3 == 0 { StageProfile::video(3) } else { StageProfile::FLAT },
+            };
+
+            // The oracle: full recompute, push, stable sort, scan.
+            let tracker = sim.tracker();
+            let mut entries = feasibility::live_entries_full(tracker, clamped, &c);
+            let backlog_gpu_seconds: f64 = entries.iter().map(|e| e.demand).sum();
+            entries.push(feasibility::demand_entry(
+                &c,
+                spec.id,
+                spec.resolution,
+                spec.stages,
+                spec.total_steps,
+                spec.deadline,
+                clamped,
+                true,
+            ));
+            feasibility::sort_entries(&mut entries);
+            let healthy = GpuSet::first_n(8).difference(failures.down_gpus(clamped));
+            let capacity = failures.effective_capacity(healthy, clamped);
+            if slowdown {
+                prop_assert!(capacity < healthy.len() as f64, "the slowdown must be active");
+            }
+            let feasible = feasibility::edf_feasible_capacity(&entries, clamped, capacity);
+            let in_flight = |t: &&crate::tracker::TrackedRequest| {
+                matches!(t.phase, Phase::Queued | Phase::Running)
+            };
+            let queued: Vec<_> = tracker
+                .iter()
+                .filter(|t| t.phase == Phase::Queued && t.remaining_steps > 0)
+                .collect();
+            let live_full = tracker
+                .iter()
+                .filter(in_flight)
+                .filter(|t| t.remaining_steps > 0)
+                .count();
+            let snapshot = sim.load(at);
+            let oracle = ClusterLoad {
+                at: clamped,
+                n_gpus: 8,
+                healthy_gpus: healthy.len(),
+                effective_gpus: capacity,
+                // Held GPUs are engine state, not derived from the backlog.
+                free_gpus: snapshot.free_gpus,
+                queued: queued.len(),
+                running: tracker.iter().filter(|t| t.phase == Phase::Running).count(),
+                backlog_steps: tracker
+                    .iter()
+                    .filter(in_flight)
+                    .map(|t| u64::from(t.remaining_steps))
+                    .sum(),
+                backlog_gpu_seconds,
+                encode_backlog: queued.iter().filter(|t| t.encode_ready > clamped).count(),
+                decode_backlog: tracker.iter().filter(in_flight).count() - live_full,
+            };
+
+            let (got_feasible, got) = sim.route_view(&spec, at);
+            prop_assert_eq!(got_feasible, feasible, "probe {} at {}: {:?}", k, at, spec);
+            prop_assert_eq!(load_bits(&got), load_bits(&oracle), "{:?} vs {:?}", got, oracle);
+            prop_assert_eq!(load_bits(&got), load_bits(&snapshot));
         }
     }
 }

@@ -591,51 +591,35 @@ impl<P: Policy> ClusterSim<P> {
     /// router decisions.
     pub fn load(&self, at: SimTime) -> ClusterLoad {
         let at = at.max(self.cursor);
-        // All O(live) or O(1) off the tracker's incremental index — the
-        // route-time snapshot must not scan every request ever admitted.
-        // `queued` counts live queued requests (remaining > 0, exactly the
-        // old `Queued && remaining > 0` filter); `running` includes final
-        // dispatches with zero steps remaining, as the full scan did.
-        let queued = self
-            .tracker
-            .live()
-            .filter(|r| r.phase == Phase::Queued)
-            .count();
-        let encode_backlog = self
-            .tracker
-            .live()
-            .filter(|r| r.phase == Phase::Queued && r.encode_ready > at)
-            .count();
-        let running = self.tracker.running_count();
-        let backlog_steps = self.tracker.live_backlog_steps();
         let backlog_gpu_seconds = feasibility::live_entries(&self.tracker, at, &self.costs)
             .iter()
             .map(|e| e.demand)
             .sum();
-        ClusterLoad {
+        self.load_with(
             at,
-            n_gpus: self.n_gpus,
-            healthy_gpus: self.healthy_count_at(at),
-            effective_gpus: self.effective_capacity_at(at),
-            free_gpus: self.free.len(),
-            queued,
-            running,
-            backlog_steps,
+            self.healthy_count_at(at),
+            self.effective_capacity_at(at),
             backlog_gpu_seconds,
-            encode_backlog,
-            // Active but no longer live: past the final queued denoise
-            // step, i.e. in or awaiting the decode tail.
-            decode_backlog: self.tracker.active_count() - self.tracker.live_len(),
-        }
+        )
     }
 
-    /// Whether the cluster could take `spec` on top of its live backlog and
-    /// still meet every deadline under the EDF cumulative-demand test —
-    /// the router-facing form of the PR 1 admission machinery.
-    pub fn admission_feasible(&self, spec: &RequestSpec, at: SimTime) -> bool {
+    /// Everything the fleet router asks of this cluster for one arrival:
+    /// whether it could take `spec` on top of its live backlog and still
+    /// meet every deadline under the EDF cumulative-demand test (the
+    /// router-facing form of the admission machinery), and the
+    /// [`load`](ClusterSim::load) snapshot — both from one refill of the
+    /// feasibility scratch, with no allocation. `spec` is scanned at its
+    /// `(deadline, id)` position, so the verdict and every snapshot field
+    /// are bit-identical to building the backlog-plus-one list and the
+    /// snapshot separately. The refill is a probe: `feas_calls` does not
+    /// count it.
+    pub fn route_view(&mut self, spec: &RequestSpec, at: SimTime) -> (bool, ClusterLoad) {
         let at = at.max(self.cursor);
-        let mut entries = feasibility::live_entries(&self.tracker, at, &self.costs);
-        entries.push(feasibility::demand_entry(
+        let failures = &self.config.engine.failures;
+        let healthy = GpuSet::first_n(self.denoise_gpus).difference(failures.down_gpus(at));
+        let capacity = failures.effective_capacity(healthy, at);
+        let entries = self.feas.probe(&self.tracker, at, &self.costs);
+        let arriving = feasibility::demand_entry(
             &self.costs,
             spec.id,
             spec.resolution,
@@ -644,9 +628,54 @@ impl<P: Policy> ClusterSim<P> {
             spec.deadline,
             at,
             true,
-        ));
-        feasibility::sort_entries(&mut entries);
-        feasibility::edf_feasible_capacity(&entries, at, self.effective_capacity_at(at))
+        );
+        let feasible = feasibility::edf_feasible_with_arrival(entries, &arriving, at, capacity);
+        let backlog_gpu_seconds = entries.iter().map(|e| e.demand).sum();
+        let load = self.load_with(at, healthy.len(), capacity, backlog_gpu_seconds);
+        (feasible, load)
+    }
+
+    /// Assembles a load snapshot at `at` (already clamped to the cursor)
+    /// around the capacity figures and backlog demand the caller computed.
+    fn load_with(
+        &self,
+        at: SimTime,
+        healthy_gpus: usize,
+        effective_gpus: f64,
+        backlog_gpu_seconds: f64,
+    ) -> ClusterLoad {
+        // All O(live) or O(1) off the tracker's incremental index — the
+        // route-time snapshot must not scan every request ever admitted.
+        // `queued` counts live queued requests (remaining > 0, exactly the
+        // old `Queued && remaining > 0` filter); `running` includes final
+        // dispatches with zero steps remaining, as the full scan did.
+        let (mut queued, mut encode_backlog) = (0, 0);
+        for r in self.tracker.live().filter(|r| r.phase == Phase::Queued) {
+            queued += 1;
+            encode_backlog += usize::from(r.encode_ready > at);
+        }
+        ClusterLoad {
+            at,
+            n_gpus: self.n_gpus,
+            healthy_gpus,
+            effective_gpus,
+            free_gpus: self.free.len(),
+            queued,
+            running: self.tracker.running_count(),
+            backlog_steps: self.tracker.live_backlog_steps(),
+            backlog_gpu_seconds,
+            encode_backlog,
+            // Active but no longer live: past the final queued denoise
+            // step, i.e. in or awaiting the decode tail.
+            decode_backlog: self.tracker.active_count() - self.tracker.live_len(),
+        }
+    }
+
+    /// The request tracker, for differential tests against full
+    /// recomputes.
+    #[cfg(test)]
+    pub(crate) fn tracker(&self) -> &RequestTracker {
+        &self.tracker
     }
 
     /// Removes and returns every queued request that has made no progress
@@ -1886,7 +1915,7 @@ mod tests {
             // Inject every arrival due before (or at) the next internal
             // event, mirroring the fleet driver's arbitration.
             while let Some(next) = pending.front() {
-                let due = sim.next_event_time().map_or(true, |t| next.arrival <= t);
+                let due = sim.next_event_time().is_none_or(|t| next.arrival <= t);
                 if due {
                     let spec = pending.pop_front().expect("front exists");
                     sim.push_arrival(spec);
@@ -1931,12 +1960,49 @@ mod tests {
 
     #[test]
     fn admission_feasible_tracks_capacity() {
-        let sim = stepwise(costs());
+        let mut sim = stepwise(costs());
         let easy = spec(0, Resolution::R256, 0.0, 60.0);
-        assert!(sim.admission_feasible(&easy, SimTime::ZERO));
+        assert!(sim.route_view(&easy, SimTime::ZERO).0);
         // No deadline horizon at all → zero capacity by any deadline.
         let hopeless = spec(1, Resolution::R2048, 0.0, 0.0);
-        assert!(!sim.admission_feasible(&hopeless, SimTime::ZERO));
+        assert!(!sim.route_view(&hopeless, SimTime::ZERO).0);
+    }
+
+    #[test]
+    fn route_view_is_a_probe_not_a_scan() {
+        // A route probe refills the scratch but is not a feasibility
+        // scan: `feas_calls` and `feas_allocations_avoided` ignore it, a
+        // buffer growth still counts, and the serving run is unchanged.
+        let serve = |probe: bool| {
+            let mut sim = stepwise(costs());
+            sim.start();
+            for i in 0..3 {
+                sim.push_arrival(spec(i, Resolution::R1024, 0.0, 30.0));
+            }
+            for _ in 0..4 {
+                assert!(sim.step());
+            }
+            if probe {
+                let arriving = spec(9, Resolution::R512, 0.0, 20.0);
+                let first = sim.route_view(&arriving, sim.now());
+                let again = sim.route_view(&arriving, sim.now());
+                assert_eq!(first.0, again.0);
+                assert_eq!(first.1.depth(), 3);
+            }
+            while sim.step() {}
+            sim.finish()
+        };
+        let (plain, probed) = (serve(false), serve(true));
+        assert_eq!(probed.feas_calls, plain.feas_calls);
+        assert_eq!(
+            probed.feas_allocations_avoided,
+            plain.feas_allocations_avoided
+        );
+        // The cold scratch grew once, for the first probe only.
+        assert_eq!(probed.feas_grow_events, plain.feas_grow_events + 1);
+        let completions =
+            |r: &ServeReport| -> Vec<_> { r.outcomes.iter().map(|o| o.completion).collect() };
+        assert_eq!(completions(&probed), completions(&plain));
     }
 
     #[test]

@@ -187,6 +187,9 @@ pub struct FleetSim<R: Router> {
     /// High-water mark of Σ per-cluster live backlogs, sampled at every
     /// routing instant (a global event, so serial and parallel agree).
     peak_backlog: usize,
+    /// The per-cluster views of the current routing decision, reused
+    /// across arrivals.
+    views: Vec<ClusterView>,
     clock: GlobalClock,
     routed: Vec<usize>,
     rerouted_in: Vec<usize>,
@@ -412,6 +415,7 @@ impl<R: Router> FleetSim<R> {
             rebalance: None,
             parallel: false,
             peak_backlog: 0,
+            views: Vec::with_capacity(n),
             clock: GlobalClock::new(),
             routed: vec![0; n],
             rerouted_in: vec![0; n],
@@ -726,21 +730,20 @@ impl<R: Router> FleetSim<R> {
         let at = self.clock.now();
         let backlog: usize = self.clusters.iter().map(|c| c.live_backlog()).sum();
         self.peak_backlog = self.peak_backlog.max(backlog);
-        let views: Vec<ClusterView> = self
-            .clusters
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ClusterView {
+        self.views.clear();
+        for (i, c) in self.clusters.iter_mut().enumerate() {
+            let (feasible, load) = c.route_view(&spec, at);
+            self.views.push(ClusterView {
                 index: i,
                 up: !self
                     .outages
                     .iter()
                     .any(|o| o.cluster == i && o.is_down_at(at)),
-                feasible: c.admission_feasible(&spec, at),
-                load: c.load(at),
-            })
-            .collect();
-        let decision = self.router.route(&spec, &views);
+                feasible,
+                load,
+            });
+        }
+        let decision = self.router.route(&spec, &self.views);
 
         self.routing_digest.push(spec.id.0);
         self.routing_digest.push(spec.arrival.as_micros());
@@ -748,12 +751,12 @@ impl<R: Router> FleetSim<R> {
         match decision {
             RouteDecision::To(i) => {
                 assert!(
-                    i < views.len(),
+                    i < self.views.len(),
                     "router chose cluster {i} of {}",
-                    views.len()
+                    self.views.len()
                 );
                 assert!(
-                    views[i].up,
+                    self.views[i].up,
                     "router sent request {} to down cluster {i}",
                     spec.id.0
                 );
