@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use tetriserve_core::allocation::min_gpu_hour_plan;
 use tetriserve_core::dp::pack_round;
-use tetriserve_core::options::{build_options, RequestOptions};
+use tetriserve_core::options::{build_options, OptionWindow, RequestOptions};
 use tetriserve_costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolution};
 use tetriserve_simulator::time::{SimDuration, SimTime};
 use tetriserve_simulator::trace::RequestId;
@@ -24,17 +24,20 @@ fn make_options(costs: &CostTable, queue: usize) -> Vec<RequestOptions> {
             let res = Resolution::PRODUCTION[i % 4];
             let plan = min_gpu_hour_plan(res, 50, SimDuration::from_secs_f64(5.0), costs);
             build_options(
+                Vec::new(),
                 RequestId(i as u64),
                 res,
                 SimTime::from_secs_f64(5.0),
                 &plan,
-                tau,
-                SimTime::ZERO + tau,
-                costs,
-                8,
                 None,
-                SimDuration::ZERO,
-                true,
+                &OptionWindow {
+                    tau,
+                    t_next: SimTime::ZERO + tau,
+                    n_gpus: 8,
+                    reconfig_allowance: SimDuration::ZERO,
+                    allow_boundary_crossing: true,
+                },
+                costs,
             )
         })
         .collect()

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use tetriserve_core::allocation::min_gpu_hour_plan;
 use tetriserve_core::dp::pack_round;
-use tetriserve_core::options::build_options;
+use tetriserve_core::options::{build_options, OptionWindow};
 use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler, Resolution};
 use tetriserve_exact::exhaustive::{solve_exhaustive, ExactInstance, ExactRequest};
 use tetriserve_metrics::report::TextTable;
@@ -73,17 +73,20 @@ fn main() {
                     let res = Resolution::PRODUCTION[i % 4];
                     let plan = min_gpu_hour_plan(res, 50, SimDuration::from_secs_f64(5.0), &costs);
                     build_options(
+                        Vec::new(),
                         RequestId(i as u64),
                         res,
                         SimTime::from_secs_f64(5.0),
                         &plan,
-                        tau,
-                        SimTime::ZERO + tau,
-                        &costs,
-                        8,
                         None,
-                        SimDuration::ZERO,
-                        true,
+                        &OptionWindow {
+                            tau,
+                            t_next: SimTime::ZERO + tau,
+                            n_gpus: 8,
+                            reconfig_allowance: SimDuration::ZERO,
+                            allow_boundary_crossing: true,
+                        },
+                        &costs,
                     )
                 })
                 .collect();

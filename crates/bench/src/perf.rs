@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use tetriserve_core::allocation::min_gpu_hour_plan;
 use tetriserve_core::dp::{pack_round_into, PackScratch, Packing};
-use tetriserve_core::options::build_options;
+use tetriserve_core::options::{build_options, OptionWindow};
 use tetriserve_core::TetriServeConfig;
 use tetriserve_costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolution};
 use tetriserve_simulator::digest::{fnv1a, SplitMix, FNV_OFFSET};
@@ -163,17 +163,20 @@ fn run_round_loop(
                 let remaining = 10 + (r >> 16 & 0x1f) as u32;
                 let plan = min_gpu_hour_plan(res, remaining, slack, costs);
                 let mut opts = build_options(
+                    Vec::new(),
                     RequestId(i as u64),
                     res,
                     SimTime::ZERO + slack,
                     &plan,
-                    tau,
-                    SimTime::ZERO + tau,
-                    costs,
-                    8,
                     None,
-                    SimDuration::ZERO,
-                    true,
+                    &OptionWindow {
+                        tau,
+                        t_next: SimTime::ZERO + tau,
+                        n_gpus: 8,
+                        reconfig_allowance: SimDuration::ZERO,
+                        allow_boundary_crossing: true,
+                    },
+                    costs,
                 );
                 opts.progress = f64::from(50 - remaining) / 50.0;
                 opts

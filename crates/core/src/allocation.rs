@@ -26,12 +26,18 @@ pub struct AllocSegment {
     pub degree: usize,
 }
 
+/// The at most two segments of a plan, held inline: a plan is a plain
+/// `Copy` value and building one never touches the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Segments {
+    One(AllocSegment),
+    Two([AllocSegment; 2]),
+}
+
 /// A request's deadline-aware allocation plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllocationPlan {
-    /// Plan segments ordered cheap-degree-first (the execution order in
-    /// Figure 6: start narrow, scale up toward the deadline).
-    pub segments: Vec<AllocSegment>,
+    segments: Segments,
     /// Whether the plan meets the deadline. When `false` the request is
     /// *definitely late* — even maximal parallelism cannot save it — and
     /// the segments fall back to best-effort at the fastest degree.
@@ -39,14 +45,23 @@ pub struct AllocationPlan {
 }
 
 impl AllocationPlan {
+    /// Plan segments ordered cheap-degree-first (the execution order in
+    /// Figure 6: start narrow, scale up toward the deadline).
+    pub fn segments(&self) -> &[AllocSegment] {
+        match &self.segments {
+            Segments::One(seg) => std::slice::from_ref(seg),
+            Segments::Two(segs) => segs,
+        }
+    }
+
     /// Total steps across segments.
     pub fn total_steps(&self) -> u32 {
-        self.segments.iter().map(|s| s.steps).sum()
+        self.segments().iter().map(|s| s.steps).sum()
     }
 
     /// Estimated runtime of the plan.
     pub fn runtime(&self, res: Resolution, costs: &CostTable) -> SimDuration {
-        self.segments
+        self.segments()
             .iter()
             .map(|s| costs.step_time(res, s.degree, 1) * u64::from(s.steps))
             .sum()
@@ -54,27 +69,95 @@ impl AllocationPlan {
 
     /// Estimated GPU-seconds of the plan.
     pub fn gpu_seconds(&self, res: Resolution, costs: &CostTable) -> f64 {
-        self.segments
+        self.segments()
             .iter()
             .map(|s| costs.gpu_seconds(res, s.degree) * f64::from(s.steps))
             .sum()
     }
 }
 
-/// Degrees worth considering: those that strictly improve latency over
-/// every smaller degree (a degree that is both slower *and* wider is
-/// dominated and never useful).
-pub fn useful_degrees(res: Resolution, costs: &CostTable) -> Vec<usize> {
-    let mut out: Vec<usize> = Vec::new();
-    let mut best = SimDuration::MAX;
-    for &k in costs.degrees() {
-        let t = costs.step_time(res, k, 1);
-        if t < best {
-            best = t;
-            out.push(k);
-        }
+/// Degrees worth considering, ascending: those that strictly improve
+/// latency over every smaller degree (a degree that is both slower *and*
+/// wider is dominated and never useful).
+pub fn useful_degrees(
+    res: Resolution,
+    costs: &CostTable,
+) -> impl Iterator<Item = usize> + Clone + '_ {
+    useful_steps(res, costs).map(|(k, _)| k)
+}
+
+/// [`useful_degrees`] with each degree's per-step time, which therefore
+/// strictly decreases along the sequence.
+fn useful_steps(
+    res: Resolution,
+    costs: &CostTable,
+) -> impl Iterator<Item = (usize, SimDuration)> + Clone + '_ {
+    costs
+        .degrees()
+        .iter()
+        .scan(SimDuration::MAX, move |best, &k| {
+            let t = costs.step_time(res, k, 1);
+            Some((t < *best).then(|| {
+                *best = t;
+                (k, t)
+            }))
+        })
+        .flatten()
+}
+
+/// The fastest useful degree no wider than `max_degree`, with its per-step
+/// time — the degree every infeasible plan falls back to. `None` when the
+/// cap excludes every profiled degree.
+pub(crate) fn fastest_degree_within(
+    res: Resolution,
+    costs: &CostTable,
+    max_degree: usize,
+) -> Option<(usize, SimDuration)> {
+    let fastest = costs.fastest_degree(res);
+    if fastest <= max_degree {
+        // The uncapped optimum fits under the cap (every healthy node).
+        // Both it and the useful sequence take the narrowest of tied
+        // degrees, so they agree.
+        return Some((fastest, costs.t_min(res)));
     }
-    out
+    // Useful degrees are prefix minima of T(k), so the last one under the
+    // cap is the fastest of all degrees under it.
+    useful_steps(res, costs)
+        .filter(|&(k, _)| k <= max_degree)
+        .last()
+}
+
+/// A step time inflated by the round headroom, in whole microseconds.
+fn inflate(t: SimDuration, headroom: f64) -> u64 {
+    (t.as_micros() as f64 * headroom).ceil() as u64
+}
+
+/// Whether [`min_gpu_hour_plan_capped`] with the same arguments returns a
+/// feasible plan, decided from the fastest degree alone.
+///
+/// Every two-degree mix the search admits needs all-fast to fit first,
+/// and the fastest degree's single-degree plan is admitted whenever it
+/// fits; inflation is monotone, so the plan is feasible if and only if
+/// `steps × inflate(t_fast) ≤ slack`. This skips the search for requests
+/// whose option set cannot depend on the plan's segments.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`min_gpu_hour_plan_capped`].
+pub(crate) fn plan_is_feasible(
+    res: Resolution,
+    remaining_steps: u32,
+    slack: SimDuration,
+    costs: &CostTable,
+    headroom: f64,
+    max_degree: usize,
+) -> bool {
+    assert!(remaining_steps > 0, "allocation needs at least one step");
+    assert!(headroom >= 1.0, "headroom must be ≥ 1.0, got {headroom}");
+    let Some((_, t_fast)) = fastest_degree_within(res, costs, max_degree) else {
+        panic!("degree cap {max_degree} excludes every profiled degree");
+    };
+    u64::from(remaining_steps) * inflate(t_fast, headroom) <= slack.as_micros()
 }
 
 /// Computes the minimal-GPU-hour plan for `remaining_steps` steps of `res`
@@ -90,11 +173,11 @@ pub fn useful_degrees(res: Resolution, costs: &CostTable) -> Vec<usize> {
 /// let costs = Profiler::new(DitModel::flux_dev(), ClusterSpec::h100x8()).analytic();
 /// // A relaxed 1024² request runs on one GPU (minimal GPU-hours)…
 /// let relaxed = min_gpu_hour_plan(Resolution::R1024, 50, SimDuration::from_secs(60), &costs);
-/// assert_eq!(relaxed.segments[0].degree, 1);
+/// assert_eq!(relaxed.segments()[0].degree, 1);
 /// // …while a 5-second 2048² deadline forces wide execution.
 /// let tight = min_gpu_hour_plan(Resolution::R2048, 50, SimDuration::from_secs(5), &costs);
 /// assert!(tight.feasible);
-/// assert_eq!(tight.segments.last().unwrap().degree, 8);
+/// assert_eq!(tight.segments().last().unwrap().degree, 8);
 /// ```
 ///
 /// # Panics
@@ -136,6 +219,9 @@ pub fn min_gpu_hour_plan_with_headroom(
 /// A plan that was feasible at full width may become infeasible under the
 /// cap; it then falls back to best effort at the widest healthy degree.
 ///
+/// The search allocates nothing: degrees are walked lazily and the running
+/// best is an inline plan on the stack.
+///
 /// # Panics
 ///
 /// Panics if `remaining_steps` is zero, `headroom < 1.0`, or `max_degree`
@@ -150,48 +236,44 @@ pub fn min_gpu_hour_plan_capped(
 ) -> AllocationPlan {
     assert!(remaining_steps > 0, "allocation needs at least one step");
     assert!(headroom >= 1.0, "headroom must be ≥ 1.0, got {headroom}");
-    let mut degrees = useful_degrees(res, costs);
-    degrees.retain(|&k| k <= max_degree);
-    assert!(
-        !degrees.is_empty(),
-        "degree cap {max_degree} excludes every profiled degree"
-    );
+    let degrees = useful_steps(res, costs)
+        .filter(move |&(k, _)| k <= max_degree)
+        .map(move |(k, t)| (k, inflate(t, headroom)));
     let steps = u64::from(remaining_steps);
     let slack_us = slack.as_micros();
-    let inflate = |t: SimDuration| (t.as_micros() as f64 * headroom).ceil() as u64;
 
-    let mut best: Option<(f64, Vec<AllocSegment>)> = None;
-    let mut consider = |cost: f64, segs: Vec<AllocSegment>| {
-        let better = match &best {
-            None => true,
-            Some((c, _)) => cost < *c,
-        };
-        if better {
+    let mut best: Option<(f64, Segments)> = None;
+    let mut consider = |cost: f64, segs: Segments| {
+        if best.is_none_or(|(c, _)| cost < c) {
             best = Some((cost, segs));
         }
     };
 
-    // Single-degree plans.
-    for &k in &degrees {
-        let t = inflate(costs.step_time(res, k, 1));
+    // Single-degree plans. The last degree seen is the fastest.
+    let mut fastest = None;
+    for (k, t) in degrees.clone() {
+        fastest = Some(k);
         if steps * t <= slack_us {
             consider(
                 costs.gpu_seconds(res, k) * steps as f64,
-                vec![AllocSegment {
+                Segments::One(AllocSegment {
                     steps: remaining_steps,
                     degree: k,
-                }],
+                }),
             );
         }
     }
+    let Some(fastest) = fastest else {
+        panic!("degree cap {max_degree} excludes every profiled degree");
+    };
 
     // Two-degree mixes: s_lo steps at the cheaper degree, the rest at the
     // faster one. For each pair, the GPU-hour-minimal split maximises the
-    // cheap-segment length subject to the deadline.
-    for (i, &k_lo) in degrees.iter().enumerate() {
-        for &k_hi in degrees.iter().skip(i + 1) {
-            let t_lo = inflate(costs.step_time(res, k_lo, 1));
-            let t_hi = inflate(costs.step_time(res, k_hi, 1));
+    // cheap-segment length subject to the deadline. Cloning the outer
+    // iterator resumes the inner walk just past `k_lo`.
+    let mut lows = degrees;
+    while let Some((k_lo, t_lo)) = lows.next() {
+        for (k_hi, t_hi) in lows.clone() {
             debug_assert!(t_lo > t_hi, "degrees are filtered to strictly improve");
             if steps * t_hi > slack_us {
                 continue; // even all-fast misses
@@ -206,7 +288,7 @@ pub fn min_gpu_hour_plan_capped(
                 + costs.gpu_seconds(res, k_hi) * s_hi as f64;
             consider(
                 cost,
-                vec![
+                Segments::Two([
                     AllocSegment {
                         steps: s_lo as u32,
                         degree: k_lo,
@@ -215,7 +297,7 @@ pub fn min_gpu_hour_plan_capped(
                         steps: s_hi as u32,
                         degree: k_hi,
                     },
-                ],
+                ]),
             );
         }
     }
@@ -227,11 +309,10 @@ pub fn min_gpu_hour_plan_capped(
         },
         None => AllocationPlan {
             // Definitely late: best effort at the fastest degree.
-            segments: vec![AllocSegment {
+            segments: Segments::One(AllocSegment {
                 steps: remaining_steps,
-                // tetrilint: allow(taint-panic) -- CostTable construction asserts a non-empty degree axis
-                degree: *degrees.last().expect("at least one degree"),
-            }],
+                degree: fastest,
+            }),
             feasible: false,
         },
     }
@@ -252,7 +333,11 @@ mod tests {
         // production resolution, so all four degrees are useful.
         let c = costs();
         for res in Resolution::PRODUCTION {
-            assert_eq!(useful_degrees(res, &c), vec![1, 2, 4, 8], "{res}");
+            assert_eq!(
+                useful_degrees(res, &c).collect::<Vec<_>>(),
+                vec![1, 2, 4, 8],
+                "{res}"
+            );
         }
     }
 
@@ -262,8 +347,8 @@ mod tests {
         let plan = min_gpu_hour_plan(Resolution::R1024, 50, SimDuration::from_secs(60), &c);
         assert!(plan.feasible);
         assert_eq!(
-            plan.segments,
-            vec![AllocSegment {
+            plan.segments(),
+            [AllocSegment {
                 steps: 50,
                 degree: 1
             }]
@@ -279,13 +364,13 @@ mod tests {
         assert!(plan.feasible);
         assert!(plan.runtime(Resolution::R2048, &c) <= SimDuration::from_secs(5));
         let sp8_steps: u32 = plan
-            .segments
+            .segments()
             .iter()
             .filter(|s| s.degree == 8)
             .map(|s| s.steps)
             .sum();
         assert!(sp8_steps >= 40, "plan {plan:?}");
-        assert_eq!(plan.segments.last().unwrap().degree, 8);
+        assert_eq!(plan.segments().last().unwrap().degree, 8);
     }
 
     #[test]
@@ -297,8 +382,8 @@ mod tests {
         let mid = SimDuration::from_micros((t4.as_micros() + t8.as_micros()) / 2);
         let plan = min_gpu_hour_plan(Resolution::R2048, 50, mid, &c);
         assert!(plan.feasible);
-        assert_eq!(plan.segments.len(), 2, "plan {plan:?}");
-        let degs: Vec<usize> = plan.segments.iter().map(|s| s.degree).collect();
+        assert_eq!(plan.segments().len(), 2, "plan {plan:?}");
+        let degs: Vec<usize> = plan.segments().iter().map(|s| s.degree).collect();
         assert_eq!(degs, vec![4, 8]);
         assert_eq!(plan.total_steps(), 50);
         // Meets the deadline with the mixed plan…
@@ -318,7 +403,7 @@ mod tests {
         let slack = SimDuration::from_secs_f64(2.0);
         let plan = min_gpu_hour_plan(res, steps, slack, &c);
         assert!(plan.feasible);
-        let degrees = useful_degrees(res, &c);
+        let degrees: Vec<usize> = useful_degrees(res, &c).collect();
         let mut brute_best = f64::INFINITY;
         for &a in &degrees {
             for &b in &degrees {
@@ -346,7 +431,11 @@ mod tests {
         let c = costs();
         let plan = min_gpu_hour_plan(Resolution::R2048, 50, SimDuration::from_millis(100), &c);
         assert!(!plan.feasible);
-        assert_eq!(plan.segments[0].degree, 8, "fallback runs at T_min degree");
+        assert_eq!(
+            plan.segments()[0].degree,
+            8,
+            "fallback runs at T_min degree"
+        );
         assert_eq!(plan.total_steps(), 50);
     }
 
@@ -357,8 +446,8 @@ mod tests {
         let c = costs();
         let plan = min_gpu_hour_plan(Resolution::R256, 50, SimDuration::from_millis(1500), &c);
         assert!(plan.feasible);
-        assert_eq!(plan.segments.len(), 1);
-        assert_eq!(plan.segments[0].degree, 1);
+        assert_eq!(plan.segments().len(), 1);
+        assert_eq!(plan.segments()[0].degree, 1);
     }
 
     #[test]
@@ -374,7 +463,7 @@ mod tests {
         // must cap at SP=4 and report infeasibility honestly.
         let plan =
             min_gpu_hour_plan_capped(Resolution::R2048, 50, SimDuration::from_secs(5), &c, 1.0, 4);
-        assert!(plan.segments.iter().all(|s| s.degree <= 4), "{plan:?}");
+        assert!(plan.segments().iter().all(|s| s.degree <= 4), "{plan:?}");
         assert!(!plan.feasible, "SP=4 cannot make a 5 s 2048² deadline");
         // A relaxed deadline stays feasible under the same cap.
         let plan = min_gpu_hour_plan_capped(
@@ -386,7 +475,7 @@ mod tests {
             4,
         );
         assert!(plan.feasible);
-        assert!(plan.segments.iter().all(|s| s.degree <= 4));
+        assert!(plan.segments().iter().all(|s| s.degree <= 4));
         // An uncapped call is unchanged.
         let full = min_gpu_hour_plan(Resolution::R2048, 50, SimDuration::from_secs(5), &c);
         assert!(full.feasible);

@@ -23,7 +23,7 @@
 // enumerate() over `assignments` or by group membership built from those
 // same indices earlier in this pass.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use tetriserve_costmodel::CostTable;
 use tetriserve_simulator::gpuset::GpuSet;
@@ -46,7 +46,9 @@ pub struct BatchDeadline {
 pub const BATCHABLE_TOKEN_LIMIT: u64 = 1024;
 
 /// Merges batchable assignments in place. Returns the GPU sets freed by
-/// merging (to be handed to elastic scale-up).
+/// merging (to be handed to elastic scale-up). `deadlines` looks up each
+/// candidate's deadline context; a member it knows nothing about vetoes
+/// its batch.
 ///
 /// Requests are merged only when all of the following hold:
 ///
@@ -56,7 +58,7 @@ pub const BATCHABLE_TOKEN_LIMIT: u64 = 1024;
 ///   survival bound `t_next + (remaining − q_b) · T_min ≤ D_i`.
 pub fn merge_batches(
     assignments: &mut Vec<Assignment>,
-    deadlines: &HashMap<RequestId, BatchDeadline>,
+    deadlines: &dyn Fn(RequestId) -> Option<BatchDeadline>,
     costs: &CostTable,
     tau: SimDuration,
     t_next: SimTime,
@@ -151,7 +153,7 @@ fn batch_survives(
     costs: &CostTable,
     tau: SimDuration,
     t_next: SimTime,
-    deadlines: &HashMap<RequestId, BatchDeadline>,
+    deadlines: &dyn Fn(RequestId) -> Option<BatchDeadline>,
 ) -> bool {
     let host = &assignments[members[0]];
     let batch = members.len() as u32;
@@ -167,7 +169,7 @@ fn batch_survives(
         let a = &assignments[i];
         // A member the caller gave no deadline context for cannot be
         // proven SLO-safe — veto the batch rather than panic mid-round.
-        let Some(d) = deadlines.get(&a.requests[0]) else {
+        let Some(d) = deadlines(a.requests[0]) else {
             return false;
         };
         let residual = t_min * u64::from(d.remaining.saturating_sub(q_b));
@@ -195,7 +197,7 @@ fn commit(
     costs: &CostTable,
     tau: SimDuration,
     t_next: SimTime,
-    deadlines: &HashMap<RequestId, BatchDeadline>,
+    deadlines: &dyn Fn(RequestId) -> Option<BatchDeadline>,
 ) {
     if members.len() < 2 {
         return;
@@ -248,7 +250,13 @@ mod tests {
         }
     }
 
-    fn loose_deadlines(ids: &[u64]) -> HashMap<RequestId, BatchDeadline> {
+    fn lookup(
+        map: &BTreeMap<RequestId, BatchDeadline>,
+    ) -> impl Fn(RequestId) -> Option<BatchDeadline> + '_ {
+        |id| map.get(&id).copied()
+    }
+
+    fn loose_deadlines(ids: &[u64]) -> BTreeMap<RequestId, BatchDeadline> {
         ids.iter()
             .map(|&i| {
                 (
@@ -272,7 +280,7 @@ mod tests {
         ];
         let freed = merge_batches(
             &mut asg,
-            &loose_deadlines(&[1, 2]),
+            &lookup(&loose_deadlines(&[1, 2])),
             &c,
             tau,
             SimTime::ZERO + tau,
@@ -294,7 +302,7 @@ mod tests {
         ];
         let freed = merge_batches(
             &mut asg,
-            &loose_deadlines(&[1, 2, 3]),
+            &lookup(&loose_deadlines(&[1, 2, 3])),
             &c,
             tau,
             SimTime::ZERO + tau,
@@ -313,7 +321,7 @@ mod tests {
         ];
         let freed = merge_batches(
             &mut asg,
-            &loose_deadlines(&[1, 2]),
+            &lookup(&loose_deadlines(&[1, 2])),
             &c,
             tau,
             SimTime::ZERO + tau,
@@ -351,7 +359,7 @@ mod tests {
                 remaining: 50,
             },
         );
-        let freed = merge_batches(&mut asg, &deadlines, &c, tau, t_next);
+        let freed = merge_batches(&mut asg, &lookup(&deadlines), &c, tau, t_next);
         assert_eq!(asg.len(), 2, "SLO-compromising batch must be rejected");
         assert!(freed.is_empty());
     }
@@ -398,7 +406,7 @@ mod tests {
                 },
             );
         }
-        let freed = merge_batches(&mut asg, &deadlines, &c, tau, t_next);
+        let freed = merge_batches(&mut asg, &lookup(&deadlines), &c, tau, t_next);
         assert_eq!(asg.len(), 2, "two full batches of four");
         assert_eq!(
             freed.len(),
@@ -428,7 +436,7 @@ mod tests {
         let ids: Vec<u64> = (0..6).collect();
         merge_batches(
             &mut asg,
-            &loose_deadlines(&ids),
+            &lookup(&loose_deadlines(&ids)),
             &c,
             tau,
             SimTime::ZERO + tau,

@@ -14,7 +14,7 @@ use tetriserve_costmodel::{CostTable, Resolution};
 use tetriserve_simulator::time::{SimDuration, SimTime};
 use tetriserve_simulator::trace::RequestId;
 
-use crate::allocation::AllocationPlan;
+use crate::allocation::{fastest_degree_within, AllocationPlan};
 
 /// One entry of a request's per-round option set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +51,37 @@ pub struct RequestOptions {
 }
 
 impl RequestOptions {
+    /// The none-only option set: the request idles this round. Built into
+    /// `buf`, a recycled option buffer (cleared first), so a scheduler that
+    /// hands back the previous round's buffers allocates nothing here.
+    pub(crate) fn idle(
+        buf: Vec<RoundOption>,
+        id: RequestId,
+        resolution: Resolution,
+        deadline: SimTime,
+        remaining_steps: u32,
+        window: &OptionWindow,
+        costs: &CostTable,
+    ) -> RequestOptions {
+        let mut opts = RequestOptions {
+            id,
+            resolution,
+            options: buf,
+            t_min: costs.t_min(resolution),
+            remaining_steps,
+            progress: 0.0,
+            deadline,
+        };
+        opts.options.clear();
+        opts.options.push(RoundOption {
+            segment: None,
+            width: 0,
+            steps: 0,
+            survives: opts.survives_with(window, remaining_steps),
+        });
+        opts
+    }
+
     /// The option with the given index.
     pub fn option(&self, idx: usize) -> RoundOption {
         // tetrilint: allow(taint-panic) -- accessor contract: callers index 0..len from this struct's own enumeration
@@ -62,66 +93,87 @@ impl RequestOptions {
     pub fn any_survives(&self) -> bool {
         self.options.iter().any(|o| o.survives)
     }
+
+    /// The survival indicator with `steps_left` steps remaining after the
+    /// window: `t_next + steps_left · T_min ≤ D`.
+    fn survives_with(&self, window: &OptionWindow, steps_left: u32) -> bool {
+        window.t_next + self.t_min * u64::from(steps_left) <= self.deadline
+    }
 }
 
-/// Builds the option set for one request from its allocation plan.
+/// The round-level inputs every request's option set shares.
+#[derive(Debug, Clone, Copy)]
+pub struct OptionWindow {
+    /// The scheduling window τ — the full round length at a boundary, or
+    /// the residual time to the next boundary during a mid-round backfill
+    /// pass.
+    pub tau: SimDuration,
+    /// The window's end `t_{r+1}`.
+    pub t_next: SimTime,
+    /// GPU budget `N`: options wider than this are dropped.
+    pub n_gpus: usize,
+    /// Remap stall budgeted when an option's degree differs from the
+    /// request's current placement width.
+    pub reconfig_allowance: SimDuration,
+    /// Whether a request none of whose degrees fits the window still gets
+    /// a single boundary-crossing step (round boundaries only).
+    pub allow_boundary_crossing: bool,
+}
+
+impl OptionWindow {
+    /// Whether this window admits no option but *none* for any request of
+    /// `res`, whatever its plan: a backfill window shorter than one step at
+    /// the fastest degree within `n_gpus`.
+    ///
+    /// Every segment of a plan capped at `n_gpus` steps no faster than
+    /// that degree, so [`build_options`] would discard each of them — the
+    /// caller can skip planning and take [`RequestOptions::idle`].
+    pub(crate) fn admits_no_step(&self, res: Resolution, costs: &CostTable) -> bool {
+        !self.allow_boundary_crossing
+            && fastest_degree_within(res, costs, self.n_gpus)
+                .is_some_and(|(_, t_fast)| self.tau.div_floor(t_fast) == 0)
+    }
+}
+
+/// Builds the option set for one request from its allocation plan, into
+/// the recycled option buffer `buf`, which is cleared first.
 ///
-/// `tau` is the scheduling window — the full round length at a boundary, or
-/// the residual time to the next boundary during a mid-round backfill pass
-/// — and `t_next` its end. When an option's degree differs from
-/// `prev_width` (the request's current placement), the dispatch will pay a
-/// reconfiguration stall, so `reconfig_allowance` is subtracted from the
-/// window when sizing `q` — otherwise the stalled dispatch overruns the
-/// round boundary and blocks the next round's packing.
+/// When an option's degree differs from `prev_width` (the request's current
+/// placement), the dispatch will pay a reconfiguration stall, so the
+/// window's `reconfig_allowance` is subtracted from τ when sizing `q` —
+/// otherwise the stalled dispatch overruns the round boundary and blocks
+/// the next round's packing.
 ///
 /// With `allow_boundary_crossing` (round boundaries only), a request none
 /// of whose degrees fit the window still gets a single boundary-crossing
 /// step so slow requests are never starved; backfill passes disable it so
 /// opportunistic work never holds GPUs into the next round's packing.
-///
-/// # Panics
-///
-/// Panics if the plan has no segments.
 #[allow(clippy::too_many_arguments)]
 pub fn build_options(
+    buf: Vec<RoundOption>,
     id: RequestId,
     resolution: Resolution,
     deadline: SimTime,
     plan: &AllocationPlan,
-    tau: SimDuration,
-    t_next: SimTime,
-    costs: &CostTable,
-    n_gpus: usize,
     prev_width: Option<usize>,
-    reconfig_allowance: SimDuration,
-    allow_boundary_crossing: bool,
+    window: &OptionWindow,
+    costs: &CostTable,
 ) -> RequestOptions {
-    assert!(!plan.segments.is_empty(), "allocation plan has no segments");
-    let t_min = costs.t_min(resolution);
-    let remaining: u32 = plan.total_steps();
-
-    let survives_with = |steps_left: u32| -> bool {
-        let lb = t_min * u64::from(steps_left);
-        t_next + lb <= deadline
-    };
-
+    let remaining = plan.total_steps();
     // Option "none": no progress this round.
-    let mut options = vec![RoundOption {
-        segment: None,
-        width: 0,
-        steps: 0,
-        survives: survives_with(remaining),
-    }];
+    let mut opts = RequestOptions::idle(buf, id, resolution, deadline, remaining, window, costs);
+    let segments = plan.segments();
+    let tau = window.tau;
 
-    for (m, seg) in plan.segments.iter().enumerate() {
-        if seg.steps == 0 || seg.degree > n_gpus {
+    for (m, seg) in segments.iter().enumerate() {
+        if seg.steps == 0 || seg.degree > window.n_gpus {
             continue;
         }
         let t = costs.step_time(resolution, seg.degree, 1);
         // Budget for the remap stall a placement change will incur. Fresh
         // requests (no previous placement) pay no remap cost.
         let tau_eff = match prev_width {
-            Some(w) if w != seg.degree => tau.saturating_sub(reconfig_allowance),
+            Some(w) if w != seg.degree => tau.saturating_sub(window.reconfig_allowance),
             _ => tau,
         };
         // An option may absorb steps planned at *lower* degrees too:
@@ -129,8 +181,7 @@ pub fn build_options(
         // deadline still holds (it merely costs extra GPU-hours). Without
         // this, a nearly exhausted fast segment strands its last steps
         // into an extra round and the quantisation misses the deadline.
-        let absorbable: u32 = plan
-            .segments
+        let absorbable: u32 = segments
             .iter()
             .filter(|s| s.degree <= seg.degree)
             .map(|s| s.steps)
@@ -142,31 +193,23 @@ pub fn build_options(
             // fits in a full round, where we still allow a single
             // boundary-crossing step so very slow requests are not starved
             // forever. Backfill passes never cross the boundary.
-            let any_fits = plan.segments.iter().any(|s| {
+            let any_fits = segments.iter().any(|s| {
                 s.steps > 0 && tau_eff.div_floor(costs.step_time(resolution, s.degree, 1)) >= 1
             });
-            if any_fits || !allow_boundary_crossing {
+            if any_fits || !window.allow_boundary_crossing {
                 continue;
             }
         }
         let q = q.max(1);
-        options.push(RoundOption {
+        let survives = opts.survives_with(window, remaining - q);
+        opts.options.push(RoundOption {
             segment: Some(m),
             width: seg.degree,
             steps: q,
-            survives: survives_with(remaining - q),
+            survives,
         });
     }
-
-    RequestOptions {
-        id,
-        resolution,
-        options,
-        t_min,
-        remaining_steps: remaining,
-        progress: 0.0,
-        deadline,
-    }
+    opts
 }
 
 #[cfg(test)]
@@ -189,17 +232,20 @@ mod tests {
         let c = costs();
         let plan = min_gpu_hour_plan(Resolution::R512, 50, SimDuration::from_secs(10), &c);
         let opts = build_options(
+            Vec::new(),
             RequestId(1),
             Resolution::R512,
             SimTime::from_secs_f64(10.0),
             &plan,
-            tau(&c),
-            SimTime::from_secs_f64(0.5),
-            &c,
-            8,
             None,
-            SimDuration::ZERO,
-            true,
+            &OptionWindow {
+                tau: tau(&c),
+                t_next: SimTime::from_secs_f64(0.5),
+                n_gpus: 8,
+                reconfig_allowance: SimDuration::ZERO,
+                allow_boundary_crossing: true,
+            },
+            &c,
         );
         assert_eq!(opts.options[0].segment, None);
         assert_eq!(opts.options[0].width, 0);
@@ -212,17 +258,20 @@ mod tests {
         let plan = min_gpu_hour_plan(Resolution::R256, 50, SimDuration::from_secs(2), &c);
         let t = tau(&c);
         let opts = build_options(
+            Vec::new(),
             RequestId(1),
             Resolution::R256,
             SimTime::from_secs_f64(2.0),
             &plan,
-            t,
-            SimTime::ZERO + t,
-            &c,
-            8,
             None,
-            SimDuration::ZERO,
-            true,
+            &OptionWindow {
+                tau: t,
+                t_next: SimTime::ZERO + t,
+                n_gpus: 8,
+                reconfig_allowance: SimDuration::ZERO,
+                allow_boundary_crossing: true,
+            },
+            &c,
         );
         // Plan is [50 @ SP1]; q = min(50, ⌊τ/T(1)⌋).
         let expect_q = (t.div_floor(c.step_time(Resolution::R256, 1, 1)) as u32).min(50);
@@ -251,17 +300,20 @@ mod tests {
         let deadline =
             t_next + SimDuration::from_micros((lb_none.as_micros() + lb_run.as_micros()) / 2);
         let opts = build_options(
+            Vec::new(),
             RequestId(2),
             res,
             deadline,
             &plan,
-            t,
-            t_next,
-            &c,
-            8,
             None,
-            SimDuration::ZERO,
-            true,
+            &OptionWindow {
+                tau: t,
+                t_next,
+                n_gpus: 8,
+                reconfig_allowance: SimDuration::ZERO,
+                allow_boundary_crossing: true,
+            },
+            &c,
         );
         assert!(!opts.options[0].survives, "idling misses");
         assert!(opts.options[1].survives, "running survives");
@@ -275,17 +327,20 @@ mod tests {
         assert!(!plan.feasible);
         let t = tau(&c);
         let opts = build_options(
+            Vec::new(),
             RequestId(3),
             Resolution::R2048,
             SimTime::from_millis(10),
             &plan,
-            t,
-            SimTime::ZERO + t,
-            &c,
-            8,
             None,
-            SimDuration::ZERO,
-            true,
+            &OptionWindow {
+                tau: t,
+                t_next: SimTime::ZERO + t,
+                n_gpus: 8,
+                reconfig_allowance: SimDuration::ZERO,
+                allow_boundary_crossing: true,
+            },
+            &c,
         );
         assert!(!opts.any_survives());
     }
@@ -294,21 +349,24 @@ mod tests {
     fn wide_segments_are_dropped_on_small_nodes() {
         let c = costs();
         let plan = min_gpu_hour_plan(Resolution::R2048, 50, SimDuration::from_secs(5), &c);
-        assert!(plan.segments.iter().any(|s| s.degree == 8));
+        assert!(plan.segments().iter().any(|s| s.degree == 8));
         let t = tau(&c);
         // On a 4-GPU budget any SP=8 segment is unusable (A_i^m ≤ N fails).
         let opts = build_options(
+            Vec::new(),
             RequestId(4),
             Resolution::R2048,
             SimTime::from_secs_f64(5.0),
             &plan,
-            t,
-            SimTime::ZERO + t,
-            &c,
-            4,
             None,
-            SimDuration::ZERO,
-            true,
+            &OptionWindow {
+                tau: t,
+                t_next: SimTime::ZERO + t,
+                n_gpus: 4,
+                reconfig_allowance: SimDuration::ZERO,
+                allow_boundary_crossing: true,
+            },
+            &c,
         );
         assert!(
             opts.options.iter().all(|o| o.width <= 4),
@@ -323,20 +381,23 @@ mod tests {
         // request must still be runnable (best-effort requests run at SP=1).
         let c = costs();
         let plan = min_gpu_hour_plan(Resolution::R2048, 10, SimDuration::from_secs(3600), &c);
-        assert_eq!(plan.segments[0].degree, 1);
+        assert_eq!(plan.segments()[0].degree, 1);
         let small_tau = c.t_min(Resolution::R2048); // < T(2048, SP=1)
         let opts = build_options(
+            Vec::new(),
             RequestId(5),
             Resolution::R2048,
             SimTime::from_secs_f64(3600.0),
             &plan,
-            small_tau,
-            SimTime::ZERO + small_tau,
-            &c,
-            8,
             None,
-            SimDuration::ZERO,
-            true,
+            &OptionWindow {
+                tau: small_tau,
+                t_next: SimTime::ZERO + small_tau,
+                n_gpus: 8,
+                reconfig_allowance: SimDuration::ZERO,
+                allow_boundary_crossing: true,
+            },
+            &c,
         );
         let run = opts.options.iter().find(|o| o.segment.is_some()).unwrap();
         assert_eq!(run.steps, 1, "one boundary-crossing step allowed");

@@ -11,17 +11,21 @@
 use proptest::prelude::*;
 
 use tetriserve_costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolution, StageProfile};
-use tetriserve_simulator::failure::{GpuFault, PerfFault};
+use tetriserve_simulator::failure::{FailurePlan, GpuFault, PerfFault};
 use tetriserve_simulator::gpuset::{GpuId, GpuSet};
 use tetriserve_simulator::time::{SimDuration, SimTime};
 use tetriserve_simulator::topology::Topology;
 use tetriserve_simulator::trace::{RequestId, TenantId};
 
-use crate::allocation::{min_gpu_hour_plan, useful_degrees};
-use crate::config::AdmissionPolicy;
+use crate::allocation::{
+    fastest_degree_within, min_gpu_hour_plan, min_gpu_hour_plan_capped, plan_is_feasible,
+    useful_degrees,
+};
+use crate::config::{AdmissionPolicy, TetriServeConfig, ROUND_HEADROOM};
 use crate::feasibility;
-use crate::options::build_options;
+use crate::options::{build_options, OptionWindow, RequestOptions};
 use crate::placement::{place, PlacementRequest};
+use crate::policy::{Policy, SchedContext};
 use crate::request::RequestSpec;
 use crate::scheduler::TetriServePolicy;
 use crate::server::{ClusterLoad, ClusterSim, Server, ServerConfig};
@@ -53,8 +57,8 @@ proptest! {
         let slack = SimDuration::from_millis(slack_ms);
         let plan = min_gpu_hour_plan(res, steps, slack, &c);
         prop_assert_eq!(plan.total_steps(), steps);
-        let degrees = useful_degrees(res, &c);
-        for seg in &plan.segments {
+        let degrees: Vec<usize> = useful_degrees(res, &c).collect();
+        for seg in plan.segments() {
             prop_assert!(degrees.contains(&seg.degree));
         }
         if plan.feasible {
@@ -288,17 +292,20 @@ proptest! {
         let t_next = SimTime::ZERO + tau;
         let deadline = SimTime::from_millis(deadline_ms);
         let opts = build_options(
+            Vec::new(),
             RequestId(0),
             res,
             deadline,
             &plan,
-            tau,
-            t_next,
-            &c,
-            8,
             None,
-            SimDuration::ZERO,
-            true,
+            &OptionWindow {
+                tau,
+                t_next,
+                n_gpus: 8,
+                reconfig_allowance: SimDuration::ZERO,
+                allow_boundary_crossing: true,
+            },
+            &c,
         );
         prop_assert_eq!(opts.options[0].width, 0);
         prop_assert_eq!(opts.options[0].steps, 0);
@@ -306,7 +313,7 @@ proptest! {
         for o in &opts.options {
             prop_assert!(o.steps <= steps);
             if o.segment.is_some() {
-                prop_assert!(plan.segments.iter().any(|s| s.degree == o.width));
+                prop_assert!(plan.segments().iter().any(|s| s.degree == o.width));
                 prop_assert!(o.steps >= 1);
             }
             // sv_i(o) = [t_next + (remaining - q)·T_min <= D_i]
@@ -610,6 +617,175 @@ proptest! {
             prop_assert_eq!(got_feasible, feasible, "probe {} at {}: {:?}", k, at, spec);
             prop_assert_eq!(load_bits(&got), load_bits(&oracle), "{:?} vs {:?}", got, oracle);
             prop_assert_eq!(load_bits(&got), load_bits(&snapshot));
+        }
+    }
+}
+
+/// Previous placement widths a queued request can carry.
+const PREV_WIDTHS: [Option<usize>; 5] = [None, Some(1), Some(2), Some(4), Some(8)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The backfill shortcut is exact. Whenever a mid-round window admits
+    /// no step at the fastest healthy degree, the fastest degree alone
+    /// gives the same feasibility verdict as each full-search attempt and
+    /// as the scheduler's two-attempt sequence, and the none-only option
+    /// set equals what the full builder makes from the searched plan.
+    /// Windows land just below, at and just above the fastest step, so a
+    /// shortcut that fires one step too late is caught.
+    #[test]
+    fn prop_backfill_shortcut_matches_full_planning(
+        res in resolution_strategy(),
+        remaining in 1u32..60,
+        budget_ms in 0u64..30_000,
+        frames in 2u32..9,
+        cap in 1usize..9,
+        prev in 0usize..5,
+        allowance_ms in 0u64..400,
+        side in 0u8..3,
+        offset_us in 0u64..1_000_000,
+    ) {
+        let c = costs();
+        let now = SimTime::from_secs_f64(7.0);
+        let deadline = now + SimDuration::from_millis(budget_ms);
+        let decode = c.model().decode_time_frames(
+            res,
+            c.cluster().gpu.effective_tflops(),
+            frames,
+        );
+        let slack = deadline.saturating_since(now).saturating_sub(decode) / u64::from(frames);
+        let (_, t_fast) = fastest_degree_within(res, &c, cap).unwrap();
+        let fast_us = t_fast.as_micros();
+        let window = SimDuration::from_micros(match side {
+            0 => fast_us.saturating_sub(1 + offset_us % fast_us),
+            1 => fast_us,
+            _ => fast_us + 1 + offset_us % fast_us,
+        });
+        let win = OptionWindow {
+            tau: window,
+            t_next: now + window,
+            n_gpus: cap,
+            reconfig_allowance: SimDuration::from_millis(allowance_ms),
+            allow_boundary_crossing: false,
+        };
+        let fires = win.admits_no_step(res, &c);
+        if window < t_fast {
+            prop_assert!(fires, "a window below the fastest step must take the shortcut");
+        }
+        if fires {
+            for headroom in [ROUND_HEADROOM, 1.0] {
+                prop_assert_eq!(
+                    plan_is_feasible(res, remaining, slack, &c, headroom, cap),
+                    min_gpu_hour_plan_capped(res, remaining, slack, &c, headroom, cap).feasible
+                );
+            }
+            let mut plan = min_gpu_hour_plan_capped(res, remaining, slack, &c, ROUND_HEADROOM, cap);
+            if !plan.feasible {
+                plan = min_gpu_hour_plan_capped(res, remaining, slack, &c, 1.0, cap);
+            }
+            let verdict = [ROUND_HEADROOM, 1.0]
+                .into_iter()
+                .any(|h| plan_is_feasible(res, remaining, slack, &c, h, cap));
+            prop_assert_eq!(verdict, plan.feasible);
+
+            let id = RequestId(1);
+            let full = build_options(
+                Vec::new(),
+                id,
+                res,
+                deadline,
+                &plan,
+                PREV_WIDTHS[prev],
+                &win,
+                &c,
+            );
+            let idle = RequestOptions::idle(Vec::new(), id, res, deadline, remaining, &win, &c);
+            prop_assert_eq!(full.options.len(), 1, "{:?}", full.options);
+            prop_assert_eq!(&full.options, &idle.options);
+            prop_assert_eq!(full.t_min, idle.t_min);
+            prop_assert_eq!(full.remaining_steps, idle.remaining_steps);
+        }
+    }
+}
+
+/// One randomly generated scheduling context: the queued requests
+/// (resolution, age in ms, SLO in ms, whether a dispatch already ran),
+/// the pass time (round, on-grid flag, offset in thousandths of τ) and
+/// the healthy and free GPU masks.
+type PassSpec = (Vec<(usize, u64, u64, bool)>, (u64, bool, u64), (u64, u64));
+
+fn pass_strategy() -> impl Strategy<Value = PassSpec> {
+    (
+        proptest::collection::vec(
+            (0usize..4, 0u64..4_000, 100u64..20_000, any::<bool>()),
+            0..10,
+        ),
+        (0u64..40, any::<bool>(), 1u64..1000),
+        (any::<u64>(), any::<u64>()),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A policy whose round buffers are reused across a random sequence
+    /// of passes — queues that grow and shrink, passes on and off the
+    /// round grid, partial health and partial free sets — returns exactly
+    /// the plans a freshly built policy returns for each pass. Stale
+    /// options, queue entries or verdicts leaking through the reused
+    /// buffers would show up as a difference.
+    #[test]
+    fn prop_reused_policy_matches_fresh_policy(
+        passes in proptest::collection::vec(pass_strategy(), 1..12),
+        elastic in any::<bool>(),
+    ) {
+        let c = costs();
+        let config = TetriServeConfig {
+            elastic_scale_up: elastic,
+            ..TetriServeConfig::default()
+        };
+        let failures = FailurePlan::none();
+        let mut reused = TetriServePolicy::new(config, &c);
+        let tau = reused.tau();
+        for (requests, (round, on_grid, offset), (healthy_mask, free_mask)) in passes {
+            let mut now = SimTime::ZERO + tau * (round + 10);
+            if !on_grid {
+                now += tau * offset / 1000;
+            }
+            let mut tracker = RequestTracker::new();
+            for (i, &(res, age_ms, slo_ms, ran)) in requests.iter().enumerate() {
+                let arrival = SimTime::from_micros(
+                    now.as_micros().saturating_sub(age_ms * 1000),
+                );
+                let id = RequestId(i as u64);
+                tracker.admit(RequestSpec {
+                    tenant: TenantId::UNTAGGED,
+                    id,
+                    resolution: Resolution::PRODUCTION[res],
+                    arrival,
+                    deadline: arrival + SimDuration::from_millis(slo_ms),
+                    total_steps: 50,
+                    stages: StageProfile::FLAT,
+                });
+                if ran {
+                    let gpus = GpuSet::contiguous(i % 8 / 2 * 2, 1 + i % 2);
+                    tracker.start_dispatch(id, gpus, 1 + (slo_ms % 40) as u32, 0.0);
+                    tracker.finish_dispatch(id);
+                }
+            }
+            let healthy = GpuSet::from_mask(healthy_mask & 0xff);
+            let ctx = SchedContext {
+                now,
+                free: healthy.intersection(GpuSet::from_mask(free_mask)),
+                healthy,
+                n_gpus: 8,
+                tracker: &tracker,
+                costs: &c,
+                failures: &failures,
+            };
+            let fresh = TetriServePolicy::new(config, &c).schedule(&ctx);
+            prop_assert_eq!(reused.schedule(&ctx), fresh);
         }
     }
 }

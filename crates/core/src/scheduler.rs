@@ -16,21 +16,19 @@
 //! 7. applies **work-conserving elastic scale-up** (§4.2.3,
 //!    [`crate::elastic`]).
 
-use std::collections::HashMap;
-
 use tetriserve_costmodel::CostTable;
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::{SimDuration, SimTime};
-use tetriserve_simulator::trace::RequestId;
 
-use crate::allocation::min_gpu_hour_plan_capped;
+use crate::allocation::{min_gpu_hour_plan_capped, plan_is_feasible};
 use crate::batching::{merge_batches, BatchDeadline};
-use crate::config::TetriServeConfig;
+use crate::config::{TetriServeConfig, ROUND_HEADROOM};
 use crate::dp::{pack_round_into, PackScratch, Packing};
 use crate::elastic::elastic_scale_up;
-use crate::options::{build_options, RequestOptions};
+use crate::options::{build_options, OptionWindow, RequestOptions, RoundOption};
 use crate::placement::{place, Assignment, PlacementRequest};
 use crate::policy::{DispatchPlan, Policy, PolicyEvent, SchedContext};
+use crate::tracker::QueuedRequest;
 
 /// The TetriServe deadline-aware round-based scheduler.
 #[derive(Debug, Clone)]
@@ -41,6 +39,29 @@ pub struct TetriServePolicy {
     /// step performs no heap allocation (see [`PackScratch`]).
     scratch: PackScratch,
     packing: Packing,
+    /// Reusable per-pass buffers for the queue, option sets and lists.
+    buffers: RoundBuffers,
+}
+
+/// A pass's working buffers, kept across passes the way [`PackScratch`]
+/// keeps the packer's: once they have seen the high-water queue, a pass
+/// allocates nothing before the dispatches it returns. Every buffer is
+/// cleared at the start of a pass, except `spare`, which only ever holds
+/// option `Vec`s that are cleared before reuse, so no state carries over.
+#[derive(Debug, Clone, Default)]
+struct RoundBuffers {
+    /// This pass's schedulable requests, in id order.
+    queue: Vec<QueuedRequest>,
+    /// Option sets of the requests the packer sees.
+    packable: Vec<RequestOptions>,
+    /// The queued request behind each option set (parallel to `packable`).
+    packable_src: Vec<QueuedRequest>,
+    /// Option buffers handed back by the previous pass's `packable`.
+    spare: Vec<Vec<RoundOption>>,
+    /// Definitely-late requests for the best-effort pass.
+    best_effort: Vec<QueuedRequest>,
+    /// Packed options that need GPUs.
+    placement: Vec<PlacementRequest>,
 }
 
 impl TetriServePolicy {
@@ -51,6 +72,7 @@ impl TetriServePolicy {
             tau: config.round_length(costs),
             scratch: PackScratch::new(),
             packing: Packing::default(),
+            buffers: RoundBuffers::default(),
         }
     }
 
@@ -72,6 +94,7 @@ impl TetriServePolicy {
     /// Packing-step counters accumulated since construction: `(calls,
     /// early_exits, grow_events, allocations_avoided)`. The perf harness
     /// asserts `grow_events` stops increasing once the scratch is warm.
+    /// Passes with no free GPU return before packing and are not counted.
     pub fn pack_stats(&self) -> (u64, u64, u64, u64) {
         (
             self.scratch.calls(),
@@ -111,6 +134,15 @@ impl Policy for TetriServePolicy {
     }
 
     fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<DispatchPlan> {
+        // Health view: never plan around parallelism that down GPUs cannot
+        // provide. With everything down there is nothing to schedule. With
+        // nothing free there is nothing to dispatch either: the packer gets
+        // zero capacity, best effort finds no GPU, and neither batching nor
+        // elastic scale-up has an assignment to work on — so return before
+        // planning.
+        if ctx.healthy.is_empty() || ctx.free.is_empty() {
+            return Vec::new();
+        }
         let now = ctx.now;
         // The round grid is anchored at t = 0 with period τ. At a boundary
         // the scheduling window is a full round; mid-round (backfill) it is
@@ -126,32 +158,42 @@ impl Policy for TetriServePolicy {
         let t_next = now + window;
         let costs = ctx.costs;
         let topology = costs.cluster().topology();
-
-        // Health view: never plan around parallelism that down GPUs cannot
-        // provide. With everything down there is nothing to schedule.
-        if ctx.healthy.is_empty() {
-            return Vec::new();
-        }
         let healthy_cap = ctx.healthy.len().min(ctx.n_gpus);
+        let option_window = OptionWindow {
+            tau: window,
+            t_next,
+            n_gpus: healthy_cap,
+            reconfig_allowance: self.config.reconfig_allowance,
+            allow_boundary_crossing: at_boundary,
+        };
+        let RoundBuffers {
+            queue,
+            packable,
+            packable_src,
+            spare,
+            best_effort,
+            placement,
+        } = &mut self.buffers;
+        ctx.tracker.schedulable_into(now, queue);
+        spare.extend(packable.drain(..).map(|o| o.options));
+        packable_src.clear();
+        best_effort.clear();
+        placement.clear();
 
         // ── 1+2: allocation plans and option sets. ──────────────────────
-        let mut packable: Vec<RequestOptions> = Vec::new();
-        let mut best_effort: Vec<RequestId> = Vec::new();
-        for id in ctx.tracker.schedulable_ids(now) {
-            // tetrilint: allow(unwrap) -- id came from this tracker's own
-            // schedulable_ids() one line up.
-            let r = ctx.tracker.get(id).expect("schedulable id is tracked");
-            if r.is_past_deadline(now) {
-                best_effort.push(id);
+        for r in queue.iter() {
+            if now > r.spec.deadline {
+                best_effort.push(*r);
                 continue;
             }
+            let res = r.spec.resolution;
             // Budget for the tail VAE decode (it is on the completion path
             // even though it is off the GPUs' critical path), and inflate
             // step times by the round headroom so the plan retains exactly
             // the margin round quantisation will consume.
             let frames = r.spec.stages.frames;
             let decode = costs.model().decode_time_frames(
-                r.spec.resolution,
+                res,
                 costs.cluster().gpu.effective_tflops(),
                 frames,
             );
@@ -160,80 +202,106 @@ impl Policy for TetriServePolicy {
             // the same factor (exact identity at frames = 1).
             let slack =
                 r.spec.deadline.saturating_since(now).saturating_sub(decode) / u64::from(frames);
-            let mut plan = min_gpu_hour_plan_capped(
-                r.spec.resolution,
-                r.remaining_steps,
-                slack,
-                costs,
-                crate::config::ROUND_HEADROOM,
-                healthy_cap,
-            );
-            if !plan.feasible {
-                // Infeasible with quantisation margin — retry at the knife
-                // edge before writing the request off. Only a request that
-                // misses even the un-inflated bound is definitely late
-                // (§4.2.2: at most one GPU, best effort).
-                plan = min_gpu_hour_plan_capped(
-                    r.spec.resolution,
+            let plan = if option_window.admits_no_step(res, costs) {
+                // Backfill window shorter than any step: the option set is
+                // none-only whatever the plan, so only the plan's verdict
+                // matters — and that follows from the fastest degree alone.
+                let feasible = [ROUND_HEADROOM, 1.0].into_iter().any(|headroom| {
+                    plan_is_feasible(res, r.remaining_steps, slack, costs, headroom, healthy_cap)
+                });
+                if !feasible {
+                    best_effort.push(*r);
+                    continue;
+                }
+                None
+            } else {
+                let mut plan = min_gpu_hour_plan_capped(
+                    res,
                     r.remaining_steps,
                     slack,
                     costs,
-                    1.0,
+                    ROUND_HEADROOM,
                     healthy_cap,
                 );
                 if !plan.feasible {
-                    best_effort.push(id);
-                    continue;
+                    // Infeasible with quantisation margin — retry at the
+                    // knife edge before writing the request off. Only a
+                    // request that misses even the un-inflated bound is
+                    // definitely late (§4.2.2: at most one GPU, best effort).
+                    plan = min_gpu_hour_plan_capped(
+                        res,
+                        r.remaining_steps,
+                        slack,
+                        costs,
+                        1.0,
+                        healthy_cap,
+                    );
+                    if !plan.feasible {
+                        best_effort.push(*r);
+                        continue;
+                    }
                 }
-            }
-            let mut opts = build_options(
-                id,
-                r.spec.resolution,
-                r.spec.deadline,
-                &plan,
-                window,
-                t_next,
-                costs,
-                healthy_cap,
-                r.last_gpus.map(|g| g.len()),
-                self.config.reconfig_allowance,
-                at_boundary,
-            );
+                Some(plan)
+            };
+            let buf = spare.pop().unwrap_or_default();
+            let id = r.spec.id;
+            let deadline = r.spec.deadline;
+            let mut opts = match &plan {
+                Some(plan) => build_options(
+                    buf,
+                    id,
+                    res,
+                    deadline,
+                    plan,
+                    r.last_gpus.map(|g| g.len()),
+                    &option_window,
+                    costs,
+                ),
+                None => RequestOptions::idle(
+                    buf,
+                    id,
+                    res,
+                    deadline,
+                    r.remaining_steps,
+                    &option_window,
+                    costs,
+                ),
+            };
             opts.progress =
                 f64::from(r.spec.total_steps - r.remaining_steps) / f64::from(r.spec.total_steps);
             packable.push(opts);
+            packable_src.push(*r);
         }
+        // Room to take back every option buffer next pass without growing.
+        spare.reserve(packable.len());
 
         // ── 3: group-knapsack packing over the free capacity. ───────────
         pack_round_into(
-            &packable,
+            packable,
             ctx.free.len(),
             &mut self.scratch,
             &mut self.packing,
         );
-        let packing = &self.packing;
 
         // ── 4: placement with preservation. ─────────────────────────────
-        let mut placement_reqs: Vec<PlacementRequest> = Vec::new();
-        for (opts, choice) in packable.iter().zip(&packing.choices) {
-            let option = opts.option(choice.option_index);
-            if option.segment.is_none() {
-                continue;
-            }
-            // tetrilint: allow(unwrap) -- packable was built from tracked
-            // ids in pass 1 and the tracker is not mutated in between.
-            let r = ctx.tracker.get(opts.id).expect("packed id is tracked");
-            placement_reqs.push(PlacementRequest {
-                id: opts.id,
-                resolution: opts.resolution,
-                width: option.width,
-                steps: option.steps,
-                remaining_before: r.remaining_steps,
-                previous: r.last_gpus,
-            });
-        }
+        let picks = packable.iter().zip(packable_src.iter());
+        placement.extend(
+            picks
+                .zip(&self.packing.choices)
+                .filter_map(|((opts, r), choice)| {
+                    let option = opts.option(choice.option_index);
+                    option.segment.map(|_| PlacementRequest {
+                        id: opts.id,
+                        resolution: opts.resolution,
+                        width: option.width,
+                        steps: option.steps,
+                        remaining_before: r.remaining_steps,
+                        previous: r.last_gpus,
+                    })
+                }),
+        );
         let mut assignments = place(
-            &placement_reqs,
+            placement,
             ctx.free,
             self.config.placement_preservation,
             &topology,
@@ -252,25 +320,18 @@ impl Policy for TetriServePolicy {
         // time at full width — under saturation that fragmentation
         // cascades into collapse. Without elastic scale-up nothing widens
         // the head, so the late requests run 1 GPU each in parallel (the
-        // paper's literal reading).
-        best_effort.sort_by_key(|id| {
-            // tetrilint: allow(unwrap) -- best_effort holds tracked ids
-            // collected in pass 1.
-            let r = ctx.tracker.get(*id).expect("tracked");
-            (r.spec.deadline, *id)
-        });
+        // paper's literal reading). Keys are unique, so the unstable
+        // (allocation-free) sort is deterministic.
+        best_effort.sort_unstable_by_key(|r| (r.spec.deadline, r.spec.id));
         let late_cap = if self.config.elastic_scale_up {
             1
         } else {
             usize::MAX
         };
-        for id in best_effort.into_iter().take(late_cap) {
+        for r in best_effort.iter().take(late_cap) {
             let Some(gpu_lowest) = free.lowest() else {
                 break;
             };
-            // tetrilint: allow(unwrap) -- best_effort holds tracked ids
-            // collected in pass 1.
-            let r = ctx.tracker.get(id).expect("tracked");
             // Prefer the previously used GPU when it is free and single.
             let gpu = match r.last_gpus {
                 Some(prev) if prev.len() == 1 && free.is_superset_of(prev) => prev,
@@ -289,7 +350,7 @@ impl Policy for TetriServePolicy {
             }
             free = free.difference(gpu);
             assignments.push(Assignment {
-                requests: vec![id],
+                requests: vec![r.spec.id],
                 resolution: r.spec.resolution,
                 gpus: gpu,
                 steps,
@@ -299,22 +360,14 @@ impl Policy for TetriServePolicy {
 
         // ── 6: selective continuous batching. ───────────────────────────
         if self.config.selective_batching {
-            let deadlines: HashMap<RequestId, BatchDeadline> = assignments
-                .iter()
-                .flat_map(|a| a.requests.iter())
-                .map(|&id| {
-                    // tetrilint: allow(unwrap) -- assignments only carry
-                    // ids the tracker handed out this round.
-                    let r = ctx.tracker.get(id).expect("tracked");
-                    (
-                        id,
-                        BatchDeadline {
-                            deadline: r.spec.deadline,
-                            remaining: r.remaining_steps,
-                        },
-                    )
+            // Every assigned id came from this pass's id-ordered queue.
+            let deadlines = |id| {
+                let i = queue.binary_search_by_key(&id, |r| r.spec.id).ok()?;
+                queue.get(i).map(|r| BatchDeadline {
+                    deadline: r.spec.deadline,
+                    remaining: r.remaining_steps,
                 })
-                .collect();
+            };
             let tau_eff = window.saturating_sub(self.config.reconfig_allowance);
             let freed = merge_batches(&mut assignments, &deadlines, costs, tau_eff, t_next);
             free = free.union(freed);
@@ -351,7 +404,7 @@ mod tests {
     use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler, Resolution, StageProfile};
     use tetriserve_simulator::failure::FailurePlan;
     use tetriserve_simulator::time::SimDuration;
-    use tetriserve_simulator::trace::TenantId;
+    use tetriserve_simulator::trace::{RequestId, TenantId};
 
     fn costs() -> CostTable {
         Profiler::new(DitModel::flux_dev(), ClusterSpec::h100x8()).analytic()

@@ -83,6 +83,19 @@ impl TrackedRequest {
     }
 }
 
+/// A schedulable request's planning inputs, copied out of the tracker so
+/// a policy can hold one pass's queue in a reused buffer (see
+/// [`RequestTracker::schedulable_into`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct QueuedRequest {
+    /// The immutable request description.
+    pub spec: RequestSpec,
+    /// Diffusion steps still to execute.
+    pub remaining_steps: u32,
+    /// GPU set of the most recent dispatch, for placement preservation.
+    pub last_gpus: Option<GpuSet>,
+}
+
 /// The portable state of a queued request being migrated between
 /// clusters: the spec plus every piece of execution accounting that must
 /// survive the hand-off. The latent tensor itself is not modeled as data
@@ -217,15 +230,33 @@ impl RequestTracker {
     /// Schedulable requests are a subset of the live index (queued with
     /// steps remaining), so this is O(live backlog), not O(all requests).
     pub fn schedulable_ids(&self, now: SimTime) -> Vec<RequestId> {
-        let mut ids: Vec<RequestId> = self
-            .live
-            .iter()
-            // tetrilint: allow(taint-panic) -- live-index ids are inserted and removed in lockstep with the requests map
-            .filter(|&&(_, id)| self.requests[&id].is_schedulable(now))
-            .map(|&(_, id)| id)
-            .collect();
+        let mut ids: Vec<RequestId> = self.schedulable(now).map(|r| r.spec.id).collect();
         ids.sort_unstable();
         ids
+    }
+
+    /// Refills `out` with a [`QueuedRequest`] view of every request
+    /// schedulable at `now`, in admission (id) order — the same set and
+    /// order as [`RequestTracker::schedulable_ids`], but with one map
+    /// lookup per request in total and no allocation once `out` has seen
+    /// the high-water backlog.
+    pub(crate) fn schedulable_into(&self, now: SimTime, out: &mut Vec<QueuedRequest>) {
+        out.clear();
+        out.extend(self.schedulable(now).map(|r| QueuedRequest {
+            spec: r.spec,
+            remaining_steps: r.remaining_steps,
+            last_gpus: r.last_gpus,
+        }));
+        out.sort_unstable_by_key(|q| q.spec.id);
+    }
+
+    /// Requests schedulable at `now`, in live-index `(deadline, id)` order.
+    fn schedulable(&self, now: SimTime) -> impl Iterator<Item = &TrackedRequest> {
+        self.live
+            .iter()
+            // tetrilint: allow(taint-panic) -- live-index ids are inserted and removed in lockstep with the requests map
+            .map(|(_, id)| &self.requests[id])
+            .filter(move |r| r.is_schedulable(now))
     }
 
     /// Marks the request as running a dispatch of `steps` steps at the

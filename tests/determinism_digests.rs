@@ -43,3 +43,31 @@ fn same_seed_twice_in_one_process_is_bit_identical() {
     assert_eq!(a.serve.completed, b.serve.completed);
     assert_eq!(a.serve.sched_passes, b.serve.sched_passes);
 }
+
+/// The smoke digests as the scheduler produced them before its rounds
+/// became allocation-free. Captured by printing `run_perf(&PerfConfig::
+/// smoke(), "smoke")`'s `round_loop[i].decision_digest` and
+/// `serve.outcome_digest` on the commit preceding that refactor; any
+/// change to a scheduling decision moves one of them. A deliberate
+/// decision change must re-capture them the same way and say so.
+const PINNED_DECISION_DIGESTS: [(usize, u64); 2] =
+    [(4, 0x697c_39d3_412f_e919), (16, 0x7e6c_bddc_f7a3_bd95)];
+const PINNED_SERVE_DIGEST: u64 = 0xf7f7_6ac9_9a98_904d;
+
+#[test]
+fn smoke_digests_match_the_pinned_contract() {
+    let report = run_perf(&PerfConfig::smoke(), "smoke");
+    let got: Vec<(usize, u64)> = report
+        .round_loop
+        .iter()
+        .map(|r| (r.queue_depth, r.decision_digest))
+        .collect();
+    assert_eq!(
+        got, PINNED_DECISION_DIGESTS,
+        "round-loop decision digests moved: a packing decision changed"
+    );
+    assert_eq!(
+        report.serve.outcome_digest, PINNED_SERVE_DIGEST,
+        "serve outcome digest moved: an end-to-end scheduling decision changed"
+    );
+}

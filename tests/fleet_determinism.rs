@@ -65,6 +65,41 @@ fn same_seed_fleet_digests_are_bit_identical_in_process() {
     }
 }
 
+/// The smoke fleet digests as the fleet produced them before the
+/// scheduler's rounds became allocation-free. Captured by printing each
+/// router's `routing_digest` and `outcome_digest` from
+/// `run_fleet_perf(&FleetPerfConfig::smoke(), "smoke")` on the commit
+/// preceding that refactor. A deliberate decision change must re-capture
+/// them the same way and say so.
+const PINNED_FLEET_DIGESTS: [(&str, u64, u64); 4] = [
+    ("round-robin", 0x34f5_06c4_b9dc_b939, 0x58de_49ac_d6b9_0641),
+    (
+        "join-shortest-queue",
+        0x7bc3_9afb_5846_b283,
+        0x423d_c8c7_fa43_8ecb,
+    ),
+    ("power-of-two", 0x684d_62fd_192d_6227, 0x1108_46a2_6c29_f010),
+    (
+        "deadline-aware",
+        0xe3cd_1aab_808e_bce5,
+        0x73b7_e76c_447b_b91e,
+    ),
+];
+
+#[test]
+fn smoke_fleet_digests_match_the_pinned_contract() {
+    let report = run_fleet_perf(&FleetPerfConfig::smoke(), "smoke");
+    let got: Vec<(&str, u64, u64)> = report
+        .routers
+        .iter()
+        .map(|r| (r.router.as_str(), r.routing_digest, r.outcome_digest))
+        .collect();
+    assert_eq!(
+        got, PINNED_FLEET_DIGESTS,
+        "fleet smoke digests moved: a routing or scheduling decision changed"
+    );
+}
+
 #[test]
 fn deadline_aware_beats_round_robin_on_the_bench_scenario() {
     // The fleet layer's core claim, pinned at integration level on the
