@@ -10,7 +10,8 @@
 //! boolean form ([`edf_feasible_with_arrival`]) to ask "could this cluster
 //! still take one more request" before committing an arrival to it.
 
-use tetriserve_costmodel::{CostTable, Resolution, StageProfile};
+use tetriserve_costmodel::stage::frame_scaled;
+use tetriserve_costmodel::{CostTable, DemandRow, Resolution, StageProfile};
 use tetriserve_simulator::time::SimTime;
 use tetriserve_simulator::trace::RequestId;
 
@@ -60,44 +61,32 @@ pub fn cheapest_step_demand(
     remaining: u32,
     horizon: f64,
 ) -> f64 {
+    // tetrilint: allow(nominal-step-time) -- demand side is nominal by convention
+    row_step_demand(&costs.demand_row(res), stages, remaining, horizon)
+}
+
+/// [`cheapest_step_demand`] over a resolution's already-resolved
+/// [`DemandRow`]: the same expression, operand order and degree order as
+/// the per-degree `CostTable` lookups it replaces, so every demand is
+/// bit-identical (`crate::proptests` pins this against that formula).
+fn row_step_demand(row: &DemandRow<'_>, stages: StageProfile, remaining: u32, horizon: f64) -> f64 {
     let remaining_f = f64::from(remaining);
     let frames_f = stages.frame_factor();
-    let tflops = costs.cluster().gpu.effective_tflops();
-    let decode = costs
-        .model()
-        .decode_time_frames(res, tflops, stages.frames)
-        .as_secs_f64();
-    let encode = if stages.encode {
-        costs.model().encode_time(res, tflops).as_secs_f64()
-    } else {
-        0.0
-    };
-    let per_step = costs
-        .degrees()
+    let decode = frame_scaled(row.decode1, stages.frames).as_secs_f64();
+    let encode = if stages.encode { row.encode_secs } else { 0.0 };
+    let per_step = row
+        .step_secs
         .iter()
-        .filter(|&&k| {
-            // Demand is denominated in nominal GPU-seconds; the capacity
-            // side of the EDF scan carries the slowdown derating.
-            // tetrilint: allow(nominal-step-time) -- demand side is nominal by convention
-            remaining_f * costs.step_time(res, k, 1).as_secs_f64() * ROUND_HEADROOM * frames_f
-                + decode
-                + encode
-                <= horizon
-        })
-        .map(|&k| costs.gpu_seconds(res, k))
+        .zip(row.gpu_secs)
+        // Demand is denominated in nominal GPU-seconds; the capacity side
+        // of the EDF scan carries the slowdown derating.
+        .filter(|&(&t, _)| remaining_f * t * ROUND_HEADROOM * frames_f + decode + encode <= horizon)
+        .map(|(_, &gpu_secs)| gpu_secs)
         .fold(f64::INFINITY, f64::min);
     if per_step.is_finite() {
         per_step
     } else {
-        let fastest = costs
-            .degrees()
-            .iter()
-            .copied()
-            // tetrilint: allow(nominal-step-time) -- degree ordering only; factor cancels
-            .min_by_key(|&k| costs.step_time(res, k, 1))
-            // tetrilint: allow(taint-panic) -- CostTable construction asserts a non-empty degree axis
-            .expect("cost table has at least one degree");
-        costs.gpu_seconds(res, fastest)
+        row.fastest_gpu_secs
     }
 }
 
@@ -116,14 +105,17 @@ pub fn demand_entry(
     fresh: bool,
 ) -> DemandEntry {
     let horizon = deadline.saturating_since(now).as_secs_f64();
-    let per_step = cheapest_step_demand(costs, res, stages, remaining, horizon);
+    // tetrilint: allow(nominal-step-time) -- demand and victim-ranking slack are nominal by convention
+    let row = costs.demand_row(res);
+    let per_step = row_step_demand(&row, stages, remaining, horizon);
     let frames_f = stages.frame_factor();
     DemandEntry {
         id,
         deadline,
         demand: f64::from(remaining) * per_step * frames_f,
-        // tetrilint: allow(nominal-step-time) -- slack ranks victims; nominal keeps ranking stable
-        slack: horizon - f64::from(remaining) * costs.t_min(res).as_secs_f64() * frames_f,
+        // Slack ranks victims at the nominal fastest step time, which keeps
+        // the ranking stable under slowdown faults.
+        slack: horizon - f64::from(remaining) * row.t_min_secs * frames_f,
         fresh,
     }
 }

@@ -789,3 +789,104 @@ proptest! {
         }
     }
 }
+
+/// The per-degree `CostTable` formula that the demand rows replaced: it
+/// re-resolves the resolution for every degree and recomputes the tail
+/// stages from the model. Kept only as the oracle for
+/// `prop_demand_rows_match_per_degree_formula`.
+fn per_degree_step_demand(
+    costs: &CostTable,
+    res: Resolution,
+    stages: StageProfile,
+    remaining: u32,
+    horizon: f64,
+) -> f64 {
+    let remaining_f = f64::from(remaining);
+    let frames_f = stages.frame_factor();
+    let tflops = costs.cluster().gpu.effective_tflops();
+    let decode = costs
+        .model()
+        .decode_time_frames(res, tflops, stages.frames)
+        .as_secs_f64();
+    let encode = if stages.encode {
+        costs.model().encode_time(res, tflops).as_secs_f64()
+    } else {
+        0.0
+    };
+    let per_step = costs
+        .degrees()
+        .iter()
+        .filter(|&&k| {
+            remaining_f * costs.step_time(res, k, 1).as_secs_f64() * ROUND_HEADROOM * frames_f
+                + decode
+                + encode
+                <= horizon
+        })
+        .map(|&k| costs.gpu_seconds(res, k))
+        .fold(f64::INFINITY, f64::min);
+    if per_step.is_finite() {
+        per_step
+    } else {
+        let fastest = costs
+            .degrees()
+            .iter()
+            .copied()
+            .min_by_key(|&k| costs.step_time(res, k, 1))
+            .expect("cost table has at least one degree");
+        costs.gpu_seconds(res, fastest)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The row-based demand is bit-identical to the per-degree formula on
+    /// both fleet tables, every profiled resolution, frames 1–8, with and
+    /// without an encode stage, at horizons from below the fastest degree
+    /// to past the slowest — including each degree's exact admission
+    /// threshold and the float just below it, where the `<=` decides.
+    #[test]
+    fn prop_demand_rows_match_per_degree_formula(
+        a40 in any::<bool>(),
+        res_pick in 0usize..64,
+        frames in 1u32..=8,
+        encode in any::<bool>(),
+        remaining in 1u32..=50,
+        fraction in 0.0f64..1.5,
+    ) {
+        let spec = if a40 { ClusterSpec::a40x4() } else { ClusterSpec::h100x8() };
+        let c = Profiler::new(DitModel::flux_dev(), spec).analytic();
+        let res = c.resolutions()[res_pick % c.resolutions().len()];
+        let stages = StageProfile { encode, frames };
+        let tflops = c.cluster().gpu.effective_tflops();
+        let tail = c.model().decode_time_frames(res, tflops, frames).as_secs_f64()
+            + if encode { c.model().encode_time(res, tflops).as_secs_f64() } else { 0.0 };
+        let thresholds: Vec<f64> = c
+            .degrees()
+            .iter()
+            .map(|&k| {
+                f64::from(remaining) * c.step_time(res, k, 1).as_secs_f64() * ROUND_HEADROOM
+                    * f64::from(frames)
+                    + tail
+            })
+            .collect();
+        let slowest = thresholds.iter().copied().fold(0.0, f64::max);
+        let mut horizons = vec![0.0, fraction * slowest, slowest * 2.0, 1e9];
+        for &t in &thresholds {
+            horizons.extend([t, f64::from_bits(t.to_bits() - 1), f64::from_bits(t.to_bits() + 1)]);
+        }
+        for horizon in horizons {
+            let rows = feasibility::cheapest_step_demand(&c, res, stages, remaining, horizon);
+            let oracle = per_degree_step_demand(&c, res, stages, remaining, horizon);
+            prop_assert_eq!(
+                rows.to_bits(),
+                oracle.to_bits(),
+                "{} {:?} remaining {} horizon {}",
+                res.label(),
+                stages,
+                remaining,
+                horizon
+            );
+        }
+    }
+}

@@ -129,7 +129,19 @@ impl MigratedRequest {
 
 /// Tracks all requests across their lifecycle.
 ///
-/// Alongside the id-keyed map, the tracker maintains an **incremental live
+/// Requests live in one of two id-keyed tiers. The **active** tier holds
+/// every non-terminal request (queued or running, *including* those with
+/// zero steps left that are awaiting their decode `Complete`); the
+/// **retired** tier holds the terminal ones (done, failed, shed).
+/// `complete`, `fail` and `shed` move a request into the retired tier as
+/// their last step, so the admission, routing and dispatch paths search a
+/// map the size of the live backlog rather than one holding every request
+/// ever admitted. Every lookup tries the active tier first and falls back
+/// to the retired one only on a miss, so terminal requests stay visible to
+/// [`get`](RequestTracker::get), [`iter`](RequestTracker::iter) and
+/// [`outcomes`](RequestTracker::outcomes).
+///
+/// Alongside the tiers, the tracker maintains an **incremental live
 /// index**: a `(deadline, id)`-ordered set of every *live* request (queued
 /// or running with steps remaining) plus O(1) aggregate counters. The
 /// index is what makes the EDF feasibility machinery
@@ -141,20 +153,38 @@ impl MigratedRequest {
 /// to the pre-index implementation.
 #[derive(Debug, Default)]
 pub struct RequestTracker {
-    requests: BTreeMap<RequestId, TrackedRequest>,
+    /// Non-terminal requests (`Queued | Running`).
+    active: BTreeMap<RequestId, TrackedRequest>,
+    /// Terminal requests (`Done | Failed | Shed`).
+    retired: BTreeMap<RequestId, TrackedRequest>,
     /// Live requests — `(Queued | Running) && remaining_steps > 0` — in
     /// `(deadline, id)` order: exactly the canonical EDF scan order, so
-    /// iterating the index needs no sort.
+    /// iterating the index needs no sort. A subset of the active tier.
     live: BTreeSet<(SimTime, RequestId)>,
-    /// Non-terminal requests (queued or running, *including* those with
-    /// zero steps remaining that are awaiting their decode `Complete`).
-    active: usize,
     /// Requests currently executing a dispatch (any remaining count).
     running: usize,
     /// Requests shed by admission control.
     shed: usize,
     /// Σ remaining_steps over the live index.
     live_steps: u64,
+}
+
+/// The tracked request `id`, active tier first.
+///
+/// # Panics
+///
+/// Panics if the request is unknown.
+fn find_mut<'a>(
+    active: &'a mut BTreeMap<RequestId, TrackedRequest>,
+    retired: &'a mut BTreeMap<RequestId, TrackedRequest>,
+    id: RequestId,
+) -> &'a mut TrackedRequest {
+    match active.get_mut(&id) {
+        Some(r) => r,
+        None => retired
+            .get_mut(&id)
+            .unwrap_or_else(|| panic!("unknown request {id}")),
+    }
 }
 
 impl RequestTracker {
@@ -170,26 +200,49 @@ impl RequestTracker {
     /// Panics if the id is already tracked or the step count is zero.
     pub fn admit(&mut self, spec: RequestSpec) {
         assert!(spec.total_steps > 0, "request must have at least one step");
-        let prev = self.requests.insert(
-            spec.id,
-            TrackedRequest {
-                spec,
-                remaining_steps: spec.total_steps,
-                phase: Phase::Queued,
-                last_gpus: None,
-                gpu_seconds: 0.0,
-                sp_degree_step_sum: 0,
-                retries: 0,
-                steps_shed: 0,
-                encode_ready: spec.arrival,
-                encode_done: None,
-                denoise_done: None,
-            },
+        self.insert_active(TrackedRequest {
+            spec,
+            remaining_steps: spec.total_steps,
+            phase: Phase::Queued,
+            last_gpus: None,
+            gpu_seconds: 0.0,
+            sp_degree_step_sum: 0,
+            retries: 0,
+            steps_shed: 0,
+            encode_ready: spec.arrival,
+            encode_done: None,
+            denoise_done: None,
+        });
+    }
+
+    /// Files a fresh queued request into the active tier and the live
+    /// index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is already tracked in either tier.
+    fn insert_active(&mut self, r: TrackedRequest) {
+        let (id, deadline, steps) = (r.spec.id, r.spec.deadline, r.remaining_steps);
+        let prev = self.active.insert(id, r);
+        assert!(
+            prev.is_none() && !self.retired.contains_key(&id),
+            "request {id} admitted twice"
         );
-        assert!(prev.is_none(), "request {} admitted twice", spec.id);
-        self.live.insert((spec.deadline, spec.id));
-        self.active += 1;
-        self.live_steps += u64::from(spec.total_steps);
+        self.live.insert((deadline, id));
+        self.live_steps += u64::from(steps);
+    }
+
+    /// Removes request `id` from whichever tier holds it, active first.
+    /// Callers that keep the request file it back into the retired tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request is unknown.
+    fn take(&mut self, id: RequestId) -> TrackedRequest {
+        self.active
+            .remove(&id)
+            .or_else(|| self.retired.remove(&id))
+            .unwrap_or_else(|| panic!("unknown request {id}"))
     }
 
     /// Records the condition-encode stage's completion: the request
@@ -199,10 +252,7 @@ impl RequestTracker {
     ///
     /// Panics if the request is unknown.
     pub fn set_encode_ready(&mut self, id: RequestId, at: SimTime) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let r = find_mut(&mut self.active, &mut self.retired, id);
         r.encode_ready = at;
         r.encode_done = Some(at);
     }
@@ -214,32 +264,25 @@ impl RequestTracker {
     ///
     /// Panics if the request is unknown.
     pub fn note_denoise_done(&mut self, id: RequestId, at: SimTime) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
-        r.denoise_done = Some(at);
+        find_mut(&mut self.active, &mut self.retired, id).denoise_done = Some(at);
     }
 
-    /// Immutable view of a request.
+    /// Immutable view of a request, terminal ones included.
     pub fn get(&self, id: RequestId) -> Option<&TrackedRequest> {
-        self.requests.get(&id)
+        self.active.get(&id).or_else(|| self.retired.get(&id))
     }
 
     /// Ids of requests schedulable at `now`, in admission (id) order.
-    /// Schedulable requests are a subset of the live index (queued with
-    /// steps remaining), so this is O(live backlog), not O(all requests).
+    /// Schedulable requests are a subset of the active tier (queued with
+    /// steps remaining), so this is O(active backlog), not O(all requests).
     pub fn schedulable_ids(&self, now: SimTime) -> Vec<RequestId> {
-        let mut ids: Vec<RequestId> = self.schedulable(now).map(|r| r.spec.id).collect();
-        ids.sort_unstable();
-        ids
+        self.schedulable(now).map(|r| r.spec.id).collect()
     }
 
     /// Refills `out` with a [`QueuedRequest`] view of every request
     /// schedulable at `now`, in admission (id) order — the same set and
-    /// order as [`RequestTracker::schedulable_ids`], but with one map
-    /// lookup per request in total and no allocation once `out` has seen
-    /// the high-water backlog.
+    /// order as [`RequestTracker::schedulable_ids`], with no map lookup
+    /// and no allocation once `out` has seen the high-water backlog.
     pub(crate) fn schedulable_into(&self, now: SimTime, out: &mut Vec<QueuedRequest>) {
         out.clear();
         out.extend(self.schedulable(now).map(|r| QueuedRequest {
@@ -247,16 +290,12 @@ impl RequestTracker {
             remaining_steps: r.remaining_steps,
             last_gpus: r.last_gpus,
         }));
-        out.sort_unstable_by_key(|q| q.spec.id);
     }
 
-    /// Requests schedulable at `now`, in live-index `(deadline, id)` order.
+    /// Requests schedulable at `now`, in id order: a filtered walk of the
+    /// id-ordered active tier, which holds every queued request.
     fn schedulable(&self, now: SimTime) -> impl Iterator<Item = &TrackedRequest> {
-        self.live
-            .iter()
-            // tetrilint: allow(taint-panic) -- live-index ids are inserted and removed in lockstep with the requests map
-            .map(|(_, id)| &self.requests[id])
-            .filter(move |r| r.is_schedulable(now))
+        self.active.values().filter(move |r| r.is_schedulable(now))
     }
 
     /// Marks the request as running a dispatch of `steps` steps at the
@@ -267,10 +306,7 @@ impl RequestTracker {
     /// Panics if the request is unknown, not queued, or `steps` exceeds its
     /// remaining work.
     pub fn start_dispatch(&mut self, id: RequestId, gpus: GpuSet, steps: u32, gpu_seconds: f64) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let r = find_mut(&mut self.active, &mut self.retired, id);
         assert_eq!(r.phase, Phase::Queued, "{id} must be queued to dispatch");
         assert!(
             steps > 0 && steps <= r.remaining_steps,
@@ -298,10 +334,7 @@ impl RequestTracker {
     ///
     /// Panics if the request is not running.
     pub fn finish_dispatch(&mut self, id: RequestId) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let r = find_mut(&mut self.active, &mut self.retired, id);
         assert_eq!(r.phase, Phase::Running, "{id} must be running");
         r.phase = Phase::Queued;
         self.running -= 1;
@@ -318,10 +351,7 @@ impl RequestTracker {
     /// Panics if the request is not running or `lost_steps` exceeds the
     /// steps deducted at dispatch start.
     pub fn abort_dispatch(&mut self, id: RequestId, gpus: GpuSet, lost_steps: u32) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let r = find_mut(&mut self.active, &mut self.retired, id);
         assert_eq!(r.phase, Phase::Running, "{id} must be running to abort");
         assert!(
             u64::from(r.remaining_steps) + u64::from(lost_steps) + u64::from(r.steps_shed)
@@ -351,10 +381,7 @@ impl RequestTracker {
     ///
     /// Panics if the request is unknown or already done.
     pub fn fail(&mut self, id: RequestId) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let mut r = self.take(id);
         assert!(
             !matches!(r.phase, Phase::Done(_)),
             "{id} cannot fail after completing"
@@ -362,7 +389,6 @@ impl RequestTracker {
         let was = r.phase;
         r.phase = Phase::Failed;
         if matches!(was, Phase::Queued | Phase::Running) {
-            self.active -= 1;
             if was == Phase::Running {
                 self.running -= 1;
             }
@@ -371,6 +397,7 @@ impl RequestTracker {
                 self.live_steps -= u64::from(r.remaining_steps);
             }
         }
+        self.retired.insert(id, r);
     }
 
     /// Sheds a queued request (admission control). Only requests that have
@@ -381,10 +408,7 @@ impl RequestTracker {
     ///
     /// Panics if the request is unknown, not queued, or already started.
     pub fn shed(&mut self, id: RequestId) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let mut r = self.take(id);
         assert_eq!(r.phase, Phase::Queued, "{id} must be queued to shed");
         assert_eq!(
             r.remaining_steps + r.steps_shed,
@@ -392,10 +416,10 @@ impl RequestTracker {
             "{id} already made progress; shedding it would waste work"
         );
         r.phase = Phase::Shed;
-        self.active -= 1;
         self.shed += 1;
         self.live.remove(&(r.spec.deadline, id));
         self.live_steps -= u64::from(r.remaining_steps);
+        self.retired.insert(id, r);
     }
 
     /// Removes `steps` denoise steps from a queued request's remaining
@@ -409,10 +433,7 @@ impl RequestTracker {
     /// shedding would leave no remaining work (the dispatch→complete path
     /// needs at least one step to fire).
     pub fn shed_steps(&mut self, id: RequestId, steps: u32) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let r = find_mut(&mut self.active, &mut self.retired, id);
         assert_eq!(r.phase, Phase::Queued, "{id} must be queued to degrade");
         assert!(steps > 0, "{id}: degrading by zero steps");
         assert!(
@@ -437,17 +458,13 @@ impl RequestTracker {
     /// Panics if the request is unknown, not queued, or has already
     /// executed steps (progress is never discarded by re-routing).
     pub fn extract(&mut self, id: RequestId) -> RequestSpec {
-        let r = self
-            .requests
-            .remove(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let r = self.take(id);
         assert_eq!(r.phase, Phase::Queued, "{id} must be queued to extract");
         assert_eq!(
             r.remaining_steps + r.steps_shed,
             r.spec.total_steps,
             "{id} already made progress; extracting it would waste work"
         );
-        self.active -= 1;
         self.live.remove(&(r.spec.deadline, id));
         self.live_steps -= u64::from(r.remaining_steps);
         // The unchanged spec ships: re-routing to a cluster with headroom
@@ -465,12 +482,8 @@ impl RequestTracker {
     ///
     /// Panics if the request is unknown or not queued.
     pub fn extract_queued(&mut self, id: RequestId) -> MigratedRequest {
-        let r = self
-            .requests
-            .remove(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let r = self.take(id);
         assert_eq!(r.phase, Phase::Queued, "{id} must be queued to migrate");
-        self.active -= 1;
         if r.remaining_steps > 0 {
             self.live.remove(&(r.spec.deadline, id));
             self.live_steps -= u64::from(r.remaining_steps);
@@ -505,29 +518,22 @@ impl RequestTracker {
             "request {} migrated with more steps than it started with",
             m.spec.id
         );
-        let prev = self.requests.insert(
-            m.spec.id,
-            TrackedRequest {
-                spec: m.spec,
-                remaining_steps: m.remaining_steps,
-                phase: Phase::Queued,
-                last_gpus: None,
-                gpu_seconds: m.gpu_seconds,
-                sp_degree_step_sum: m.sp_degree_step_sum,
-                retries: m.retries,
-                steps_shed: m.steps_shed,
-                // A migrated request is immediately denoise-eligible: its
-                // encode (if any) ran on the source cluster, and the
-                // latent hand-off already priced the transfer.
-                encode_ready: m.spec.arrival,
-                encode_done: None,
-                denoise_done: None,
-            },
-        );
-        assert!(prev.is_none(), "request {} admitted twice", m.spec.id);
-        self.live.insert((m.spec.deadline, m.spec.id));
-        self.active += 1;
-        self.live_steps += u64::from(m.remaining_steps);
+        self.insert_active(TrackedRequest {
+            spec: m.spec,
+            remaining_steps: m.remaining_steps,
+            phase: Phase::Queued,
+            last_gpus: None,
+            gpu_seconds: m.gpu_seconds,
+            sp_degree_step_sum: m.sp_degree_step_sum,
+            retries: m.retries,
+            steps_shed: m.steps_shed,
+            // A migrated request is immediately denoise-eligible: its
+            // encode (if any) ran on the source cluster, and the
+            // latent hand-off already priced the transfer.
+            encode_ready: m.spec.arrival,
+            encode_done: None,
+            denoise_done: None,
+        });
     }
 
     /// Marks the request fully complete (after VAE decode).
@@ -536,27 +542,21 @@ impl RequestTracker {
     ///
     /// Panics if the request is unknown or already done.
     pub fn complete(&mut self, id: RequestId, at: SimTime) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let mut r = self.take(id);
         assert!(!matches!(r.phase, Phase::Done(_)), "{id} completed twice");
         assert_eq!(r.remaining_steps, 0, "{id} completed with steps remaining");
-        let was = r.phase;
-        r.phase = Phase::Done(at);
-        if matches!(was, Phase::Queued | Phase::Running) {
-            self.active -= 1;
-            if was == Phase::Running {
-                self.running -= 1;
-            }
+        if r.phase == Phase::Running {
+            self.running -= 1;
         }
+        r.phase = Phase::Done(at);
+        self.retired.insert(id, r);
     }
 
     /// Number of requests still in flight (terminal phases — done, failed,
     /// shed — do not count; the serving loop stops ticking without them).
-    /// O(1) — maintained incrementally by every mutator.
+    /// O(1): the size of the active tier.
     pub fn active_count(&self) -> usize {
-        self.active
+        self.active.len()
     }
 
     /// Number of requests shed by admission control. O(1).
@@ -574,8 +574,8 @@ impl RequestTracker {
     /// `(deadline, id)` order: the canonical EDF scan order, pre-sorted by
     /// the incremental index.
     pub fn live(&self) -> impl Iterator<Item = &TrackedRequest> {
-        // tetrilint: allow(taint-panic) -- live-index ids are inserted and removed in lockstep with the requests map
-        self.live.iter().map(move |(_, id)| &self.requests[id])
+        // tetrilint: allow(taint-panic) -- live-index ids are a subset of the active tier, inserted and removed in lockstep with it
+        self.live.iter().map(move |(_, id)| &self.active[id])
     }
 
     /// Size of the live index. O(1).
@@ -588,65 +588,73 @@ impl RequestTracker {
         self.live_steps
     }
 
-    /// Full-recompute cross-check of the incremental index and counters:
-    /// `true` iff membership, order and every aggregate agree with a scan
-    /// over all tracked requests. The feasibility layer `debug_assert`s
-    /// this (via entry comparison) and `crate::proptests` drives it under
-    /// arbitrary mutation sequences.
+    /// Full-recompute cross-check of the tiers, the incremental index and
+    /// the counters: `true` iff the active tier holds exactly the
+    /// `Queued | Running` requests, the retired tier exactly the terminal
+    /// ones, the two are disjoint, and membership, order and every
+    /// aggregate of the index agree with a scan over all tracked requests.
+    /// The feasibility layer `debug_assert`s the index (via entry
+    /// comparison) and `crate::proptests` drives this under arbitrary
+    /// mutation sequences.
     pub fn index_is_consistent(&self) -> bool {
+        let in_flight = |r: &TrackedRequest| matches!(r.phase, Phase::Queued | Phase::Running);
+        let keyed = |(id, r): (&RequestId, &TrackedRequest)| *id == r.spec.id;
+        let tiers = self.active.values().all(in_flight)
+            && !self.retired.values().any(in_flight)
+            && self.active.iter().all(keyed)
+            && self.retired.iter().all(keyed)
+            && !self.active.keys().any(|id| self.retired.contains_key(id));
         let expect: BTreeSet<(SimTime, RequestId)> = self
-            .requests
-            .values()
-            .filter(|r| matches!(r.phase, Phase::Queued | Phase::Running) && r.remaining_steps > 0)
+            .iter()
+            .filter(|r| in_flight(r) && r.remaining_steps > 0)
             .map(|r| (r.spec.deadline, r.spec.id))
             .collect();
-        let active = self
-            .requests
-            .values()
-            .filter(|r| matches!(r.phase, Phase::Queued | Phase::Running))
-            .count();
-        let running = self
-            .requests
-            .values()
-            .filter(|r| r.phase == Phase::Running)
-            .count();
-        let shed = self
-            .requests
-            .values()
-            .filter(|r| r.phase == Phase::Shed)
-            .count();
+        let running = self.iter().filter(|r| r.phase == Phase::Running).count();
+        let shed = self.iter().filter(|r| r.phase == Phase::Shed).count();
         let steps: u64 = self
-            .requests
-            .values()
-            .filter(|r| matches!(r.phase, Phase::Queued | Phase::Running))
+            .iter()
+            .filter(|r| in_flight(r))
             .map(|r| u64::from(r.remaining_steps))
             .sum();
-        expect == self.live
-            && active == self.active
+        tiers
+            && expect == self.live
             && running == self.running
             && shed == self.shed
             && steps == self.live_steps
     }
 
-    /// Iterates over all tracked requests in id order.
+    /// Iterates over all tracked requests in id order: a merge of the two
+    /// id-ordered tiers (disjoint, so no id appears twice).
     pub fn iter(&self) -> impl Iterator<Item = &TrackedRequest> {
-        self.requests.values()
+        let mut active = self.active.iter().peekable();
+        let mut retired = self.retired.iter().peekable();
+        std::iter::from_fn(move || {
+            let from_active = match (active.peek(), retired.peek()) {
+                (Some((a, _)), Some((r, _))) => a < r,
+                (a, _) => a.is_some(),
+            };
+            let next = if from_active {
+                active.next()
+            } else {
+                retired.next()
+            };
+            next.map(|(_, r)| r)
+        })
     }
 
     /// Total number of tracked requests.
     pub fn len(&self) -> usize {
-        self.requests.len()
+        self.active.len() + self.retired.len()
     }
 
     /// Whether no requests are tracked.
     pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
+        self.active.is_empty() && self.retired.is_empty()
     }
 
-    /// Final outcomes for every tracked request.
+    /// Final outcomes for every tracked request, in id order.
     pub fn outcomes(&self) -> Vec<RequestOutcome> {
-        self.requests
-            .values()
+        self.iter()
             .map(|r| RequestOutcome {
                 tenant: r.spec.tenant,
                 id: r.spec.id,
@@ -995,6 +1003,61 @@ mod tests {
             retries: 0,
             steps_shed: 0,
         });
+    }
+
+    #[test]
+    fn get_still_sees_retired_requests() {
+        let mut t = RequestTracker::new();
+        for id in 1..=3 {
+            t.admit(spec(id));
+        }
+        t.start_dispatch(RequestId(1), GpuSet::contiguous(0, 1), 10, 1.0);
+        t.finish_dispatch(RequestId(1));
+        let done = SimTime::from_secs_f64(2.0);
+        t.complete(RequestId(1), done);
+        t.fail(RequestId(2));
+        t.shed(RequestId(3));
+        assert_eq!(t.active_count(), 0);
+        assert_eq!(t.len(), 3, "retired requests stay tracked");
+        assert_eq!(t.get(RequestId(1)).unwrap().phase, Phase::Done(done));
+        assert_eq!(t.get(RequestId(2)).unwrap().phase, Phase::Failed);
+        assert_eq!(t.get(RequestId(3)).unwrap().phase, Phase::Shed);
+        assert!(t.index_is_consistent());
+    }
+
+    #[test]
+    fn iteration_merges_tiers_in_id_order() {
+        let mut t = RequestTracker::new();
+        for id in 1..=5 {
+            t.admit(spec(id));
+        }
+        t.shed(RequestId(2));
+        t.shed(RequestId(5));
+        let ids: Vec<u64> = t.iter().map(|r| r.spec.id.0).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
+        let shed: Vec<bool> = t.outcomes().iter().map(|o| o.shed).collect();
+        assert_eq!(shed, vec![false, true, false, false, true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "admitted twice")]
+    fn readmitting_a_retired_id_panics() {
+        let mut t = RequestTracker::new();
+        t.admit(spec(1));
+        t.shed(RequestId(1));
+        t.admit(spec(1));
+    }
+
+    #[test]
+    fn extract_then_readmit_migrated_works() {
+        let mut t = RequestTracker::new();
+        t.admit(spec(1));
+        let m = t.extract_queued(RequestId(1));
+        assert!(t.is_empty(), "extraction leaves neither tier holding it");
+        t.admit_migrated(m);
+        assert_eq!(t.get(RequestId(1)).unwrap().phase, Phase::Queued);
+        assert_eq!(t.active_count(), 1);
+        assert!(t.index_is_consistent());
     }
 
     #[test]

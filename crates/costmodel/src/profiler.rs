@@ -41,6 +41,26 @@ pub struct CostRow {
     pub step_micros: u64,
 }
 
+/// One profiled resolution's inputs to the EDF demand formula, resolved
+/// once per request by [`CostTable::demand_row`] so a demand scan walks
+/// flat slices instead of re-resolving the resolution per degree.
+#[derive(Debug, Clone, Copy)]
+pub struct DemandRow<'a> {
+    /// Batch-1 step time in seconds per profiled degree, in
+    /// [`CostTable::degrees`] order.
+    pub step_secs: &'a [f64],
+    /// `k · T(k)` GPU-seconds per step (batch 1), in the same order.
+    pub gpu_secs: &'a [f64],
+    /// GPU-seconds per step at the fastest degree.
+    pub fastest_gpu_secs: f64,
+    /// [`CostTable::t_min`] in seconds.
+    pub t_min_secs: f64,
+    /// Single-frame VAE decode latency on this table's hardware.
+    pub decode1: SimDuration,
+    /// Condition-encode latency on this table's hardware, in seconds.
+    pub encode_secs: f64,
+}
+
 /// The profiled lookup table: per-step latency by (resolution, degree,
 /// batch), plus derived quantities the scheduler needs (fastest degree,
 /// minimal-GPU-hour degree).
@@ -69,6 +89,14 @@ pub struct CostTable {
     grid: Vec<SimDuration>,
     /// Per-resolution `k · T(k, batch 1)`, laid out `[ri * degrees.len() + di]`.
     gpu_secs: Vec<f64>,
+    /// Per-resolution `T(k, batch 1)` in seconds, laid out like `gpu_secs`.
+    step_secs: Vec<f64>,
+    /// Per-resolution `k · T(k)` at the fastest degree.
+    fastest_gpu_secs: Vec<f64>,
+    /// Per-resolution single-frame VAE decode latency.
+    decode1: Vec<SimDuration>,
+    /// Per-resolution condition-encode latency in seconds.
+    encode_secs: Vec<f64>,
     /// Per-resolution fastest batch-1 step time (Algorithm 1's `T_i^min`).
     t_min: Vec<SimDuration>,
     /// Per-resolution degree achieving `t_min`.
@@ -117,13 +145,17 @@ impl CostTable {
         // on-demand scans did: `Iterator::min`/`min_by` keep the *first*
         // minimum, i.e. the smallest degree (degrees are ascending).
         let mut gpu_secs = Vec::with_capacity(resolutions.len() * nd);
+        let mut step_secs = Vec::with_capacity(resolutions.len() * nd);
         let mut t_min = Vec::with_capacity(resolutions.len());
         let mut fastest = Vec::with_capacity(resolutions.len());
+        let mut fastest_gpu_secs = Vec::with_capacity(resolutions.len());
         let mut cheapest = Vec::with_capacity(resolutions.len());
         for ri in 0..resolutions.len() {
             let step1 = |di: usize| grid[(ri * nd + di) * nb];
             for (di, &k) in degrees.iter().enumerate() {
-                gpu_secs.push(k as f64 * step1(di).as_secs_f64());
+                let secs = step1(di).as_secs_f64();
+                step_secs.push(secs);
+                gpu_secs.push(k as f64 * secs);
             }
             let (best_di, best_t) = (0..nd)
                 .map(|di| (di, step1(di)))
@@ -131,6 +163,7 @@ impl CostTable {
                 .expect("at least one degree");
             t_min.push(best_t);
             fastest.push(degrees[best_di]);
+            fastest_gpu_secs.push(gpu_secs[ri * nd + best_di]);
             // total_cmp matches partial_cmp on these always-finite costs
             // and needs no NaN panic path.
             let cheap_di = (0..nd)
@@ -138,6 +171,17 @@ impl CostTable {
                 .expect("at least one degree");
             cheapest.push(degrees[cheap_di]);
         }
+        // The tail stages come from the table's own model and hardware, so
+        // the demand formula never re-runs the FLOPs model per request.
+        let tflops = cluster.gpu.effective_tflops();
+        let decode1 = resolutions
+            .iter()
+            .map(|&res| model.decode_time(res, tflops))
+            .collect();
+        let encode_secs = resolutions
+            .iter()
+            .map(|&res| model.encode_time(res, tflops).as_secs_f64())
+            .collect();
         CostTable {
             model,
             cluster,
@@ -149,6 +193,10 @@ impl CostTable {
             max_batch,
             grid,
             gpu_secs,
+            step_secs,
+            fastest_gpu_secs,
+            decode1,
+            encode_secs,
             t_min,
             fastest,
             cheapest,
@@ -234,6 +282,29 @@ impl CostTable {
         match self.res_index(res) {
             Some(ri) => self.t_min[ri],
             None => self.step_time(res, self.degrees[0], 1), // diagnostic panic
+        }
+    }
+
+    /// The batch-1 demand inputs for `res`: one resolution lookup, then
+    /// flat per-degree slices and precomputed tail-stage latencies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `res` was not profiled.
+    #[inline]
+    pub fn demand_row(&self, res: Resolution) -> DemandRow<'_> {
+        let Some(ri) = self.res_index(res) else {
+            let _ = self.step_time(res, self.degrees[0], 1); // diagnostic panic
+            unreachable!()
+        };
+        let nd = self.degrees.len();
+        DemandRow {
+            step_secs: &self.step_secs[ri * nd..(ri + 1) * nd],
+            gpu_secs: &self.gpu_secs[ri * nd..(ri + 1) * nd],
+            fastest_gpu_secs: self.fastest_gpu_secs[ri],
+            t_min_secs: self.t_min[ri].as_secs_f64(),
+            decode1: self.decode1[ri],
+            encode_secs: self.encode_secs[ri],
         }
     }
 

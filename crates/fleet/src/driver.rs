@@ -471,9 +471,7 @@ impl<R: Router> FleetSim<R> {
     /// report.
     pub fn run(mut self) -> FleetReport {
         loop {
-            let internal: Vec<Option<SimTime>> =
-                self.clusters.iter().map(|c| c.next_event_time()).collect();
-            let next_internal = next_source(&internal);
+            let next_internal = next_source(self.clusters.iter().map(|c| c.next_event_time()));
             let internal_t = next_internal.map(|(_, t)| t);
             let outage_t = self.pending_outages.front().map(|o| o.down_from);
             // One arrival candidate covers both queues; re-routes win

@@ -427,6 +427,11 @@ mod tests {
             fired("crates/core/src/scheduler.rs", src),
             vec!["nominal-step-time"]
         );
+        let src = "fn t(c: &CostTable) -> f64 { c.demand_row(res).t_min_secs }";
+        assert_eq!(
+            fired("crates/core/src/feasibility.rs", src),
+            vec!["nominal-step-time"]
+        );
     }
 
     #[test]

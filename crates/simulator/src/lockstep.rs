@@ -12,11 +12,12 @@ use crate::time::SimTime;
 /// Picks the next source to advance: the one with the earliest pending
 /// time; ties break to the lowest index. Sources with `None` (nothing
 /// pending) never win. Returns `(index, time)` or `None` when every
-/// source is drained.
-pub fn next_source(pending: &[Option<SimTime>]) -> Option<(usize, SimTime)> {
+/// source is drained. Takes the pending times as an iterator so a driver
+/// can scan its sources in place, without collecting them per tick.
+pub fn next_source(pending: impl IntoIterator<Item = Option<SimTime>>) -> Option<(usize, SimTime)> {
     let mut best: Option<(usize, SimTime)> = None;
-    for (i, t) in pending.iter().enumerate() {
-        let Some(t) = *t else { continue };
+    for (i, t) in pending.into_iter().enumerate() {
+        let Some(t) = t else { continue };
         match best {
             Some((_, bt)) if bt <= t => {}
             _ => best = Some((i, t)),
@@ -71,23 +72,23 @@ mod tests {
     #[test]
     fn earliest_time_wins() {
         let pending = vec![Some(t(30)), Some(t(10)), Some(t(20))];
-        assert_eq!(next_source(&pending), Some((1, t(10))));
+        assert_eq!(next_source(pending), Some((1, t(10))));
     }
 
     #[test]
     fn ties_break_to_lowest_index() {
         let pending = vec![Some(t(10)), Some(t(10)), Some(t(10))];
-        assert_eq!(next_source(&pending), Some((0, t(10))));
+        assert_eq!(next_source(pending), Some((0, t(10))));
         let pending = vec![None, Some(t(10)), Some(t(10))];
-        assert_eq!(next_source(&pending), Some((1, t(10))));
+        assert_eq!(next_source(pending), Some((1, t(10))));
     }
 
     #[test]
     fn drained_sources_never_win() {
-        assert_eq!(next_source(&[]), None);
-        assert_eq!(next_source(&[None, None]), None);
+        assert_eq!(next_source([]), None);
+        assert_eq!(next_source([None, None]), None);
         let pending = vec![None, Some(t(5)), None];
-        assert_eq!(next_source(&pending), Some((1, t(5))));
+        assert_eq!(next_source(pending), Some((1, t(5))));
     }
 
     #[test]
